@@ -144,11 +144,15 @@ fn workload_kind(w: Workload) -> &'static str {
 /// artifacts.
 ///
 /// The spec's `threads` field (when nonzero) overrides the worker-pool
-/// width for exactly this run — execution geometry only; the physics
-/// and therefore the report bytes are identical at any value. The
-/// thermostat (if any) is applied on a fixed 10-step cadence aligned
-/// with the trajectory frame schedule, so the flow of physics is a
-/// function of the spec alone.
+/// width of the parallel regions opened by the run's own thread, for
+/// exactly this run (restored afterwards, also if the run panics);
+/// concurrent runs on other threads keep their own widths. A run swept
+/// into a multi-job batch ([`run_batch`]) executes inside one of the
+/// pass's chunks, where parallel regions run inline. Either way this is
+/// execution geometry only; the physics and therefore the report bytes
+/// are identical at any value. The thermostat (if any) is applied on a
+/// fixed 10-step cadence aligned with the trajectory frame schedule, so
+/// the flow of physics is a function of the spec alone.
 pub fn run_spec(spec: &ScenarioSpec) -> RunArtifacts {
     run_spec_streaming(spec, &mut |_| {})
 }
@@ -162,13 +166,10 @@ pub fn run_spec(spec: &ScenarioSpec) -> RunArtifacts {
 /// still running.
 pub fn run_spec_streaming(spec: &ScenarioSpec, progress: &mut dyn FnMut(&str)) -> RunArtifacts {
     if spec.threads > 0 {
-        rayon::set_num_threads(spec.threads);
+        rayon::with_num_threads(spec.threads, || execute(spec, progress))
+    } else {
+        execute(spec, progress)
     }
-    let artifacts = execute(spec, progress);
-    if spec.threads > 0 {
-        rayon::set_num_threads(0);
-    }
-    artifacts
 }
 
 fn execute(spec: &ScenarioSpec, progress: &mut dyn FnMut(&str)) -> RunArtifacts {
