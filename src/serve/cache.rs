@@ -233,6 +233,16 @@ impl ResultCache {
         Some(CachedResult { report, counters })
     }
 
+    /// [`ResultCache::lookup`] reading only `report.txt` — the serve
+    /// hit path's one file. The atomic rename that publishes an entry
+    /// makes a readable report imply a complete entry. Counts as an
+    /// access.
+    pub fn report(&mut self, key: &str) -> Option<String> {
+        let report = fs::read_to_string(self.entry_dir(key).join("report.txt")).ok()?;
+        self.touch(key);
+        Some(report)
+    }
+
     /// Open one of a key's artifact files for streaming (e.g.
     /// `trajectory.xyz`), returning the open handle and its length.
     /// Counts as an access, like [`ResultCache::lookup`]. The handle
@@ -398,6 +408,8 @@ mod tests {
         let hit = cache.lookup("00ff00ff00ff00ff").unwrap();
         assert_eq!(hit.report, "hello\n");
         assert_eq!(hit.counters, "{\"atoms\":1}");
+        assert_eq!(cache.report("00ff00ff00ff00ff").as_deref(), Some("hello\n"));
+        assert!(cache.report("0000000000000000").is_none());
         // No temp droppings remain, and the index landed: 2 + 6 + 11
         // payload bytes.
         assert!(!root.join(".tmp.00ff00ff00ff00ff").exists());
@@ -483,6 +495,10 @@ mod tests {
             cache.insert("bbbbbbbbbbbbbbbb", &files).unwrap();
             assert!(cache.lookup("aaaaaaaaaaaaaaaa").is_some());
             assert_eq!(cache.lru_keys(), ["bbbbbbbbbbbbbbbb", "aaaaaaaaaaaaaaaa"]);
+            // A report-only read is an access too.
+            assert!(cache.report("bbbbbbbbbbbbbbbb").is_some());
+            assert_eq!(cache.lru_keys(), ["aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb"]);
+            assert!(cache.lookup("aaaaaaaaaaaaaaaa").is_some());
         }
         // Reopened with a one-entry budget: the persisted order says b
         // is least recently used, so b is the one evicted.

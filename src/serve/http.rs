@@ -9,7 +9,10 @@
 //! server shuts down. `Connection: keep-alive`/`close` is honored with
 //! the HTTP/1.1 default (keep-alive); the buffered reader survives
 //! across requests, so requests the client pipelined back-to-back are
-//! already in the buffer and are served in order. Per-connection
+//! already in the buffer and are served in order. Each response leaves
+//! as one write (head + body; or head, each chunk, and the terminal
+//! chunk) on a socket with `TCP_NODELAY` set, so no segment of it ever
+//! waits ~40 ms on the client's delayed ACK. Per-connection
 //! read/write timeouts and a request-size cap mean a stalled or
 //! hostile client can only ever wedge its own connection. No TLS, no
 //! dependencies — exactly enough protocol for a scenario client, in
@@ -279,10 +282,51 @@ fn read_request(
     }))
 }
 
-/// Write one fixed-length response and flush. `extra` headers ride
-/// along verbatim; `keep` picks the `Connection` header.
-fn respond(
-    stream: &mut TcpStream,
+/// How a response body is delimited.
+enum Framing {
+    /// `Content-Length: n`.
+    Length(usize),
+    /// `Transfer-Encoding: chunked`.
+    Chunked,
+}
+
+/// Render a response head — status line, `Content-Type`, the framing
+/// header, `Connection`, the `extra` headers verbatim, and the blank
+/// line — onto `out`. One renderer for both framings.
+fn render_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    framing: Framing,
+    extra: &[(&str, &str)],
+    keep: bool,
+) {
+    // Writing into a Vec cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n"
+    );
+    let _ = match framing {
+        Framing::Length(n) => write!(out, "Content-Length: {n}\r\n"),
+        Framing::Chunked => write!(out, "Transfer-Encoding: chunked\r\n"),
+    };
+    let _ = write!(
+        out,
+        "Connection: {}\r\n",
+        if keep { "keep-alive" } else { "close" }
+    );
+    for (name, value) in extra {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Write one fixed-length response — head and body in one buffer, one
+/// `write_all` — and flush. `extra` headers ride along verbatim; `keep`
+/// picks the `Connection` header.
+fn respond<W: Write>(
+    stream: &mut W,
     status: u16,
     reason: &str,
     content_type: &str,
@@ -290,48 +334,54 @@ fn respond(
     keep: bool,
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        body.len(),
-        if keep { "keep-alive" } else { "close" },
-    )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    let mut out = Vec::with_capacity(256 + body.len());
+    let framing = Framing::Length(body.len());
+    render_head(&mut out, status, reason, content_type, framing, extra, keep);
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
-/// Start a 200 chunked-transfer response; the body follows as chunks
-/// (self-delimiting, so keep-alive survives streaming).
-fn stream_head(stream: &mut TcpStream, extra: &[(&str, &str)], keep: bool) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        if keep { "keep-alive" } else { "close" },
-    )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")
-}
-
-/// A chunked-transfer body writer that survives the client vanishing:
-/// the first write error marks the writer dead and every later chunk is
-/// silently dropped, so a mid-response disconnect never aborts the
-/// physics run it is watching.
-struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+/// A 200 chunked-transfer response body (self-delimiting, so keep-alive
+/// survives streaming) that survives the client vanishing: the first
+/// write error marks the writer dead and every later chunk is silently
+/// dropped, so a mid-response disconnect never aborts the physics run
+/// it is watching. The head, each chunk (size line + data + CRLF), and
+/// the terminal chunk each leave as one write, framed in a buffer the
+/// writer reuses.
+struct ChunkedWriter<W: Write> {
+    stream: W,
+    buf: Vec<u8>,
     alive: bool,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    fn new(stream: &'a mut TcpStream) -> Self {
+impl<W: Write> ChunkedWriter<W> {
+    /// Send the chunked head; a failed head leaves the writer dead.
+    fn start(stream: W, extra: &[(&str, &str)], keep: bool) -> Self {
+        let mut writer = Self {
+            stream,
+            buf: Vec::new(),
+            alive: true,
+        };
+        render_head(
+            &mut writer.buf,
+            200,
+            "OK",
+            "text/plain",
+            Framing::Chunked,
+            extra,
+            keep,
+        );
+        writer.send();
+        writer
+    }
+
+    /// A dead writer that sends nothing at all.
+    fn silent(stream: W) -> Self {
         Self {
             stream,
-            alive: true,
+            buf: Vec::new(),
+            alive: false,
         }
     }
 
@@ -339,13 +389,11 @@ impl<'a> ChunkedWriter<'a> {
         if !self.alive || data.is_empty() {
             return;
         }
-        let r = write!(self.stream, "{:x}\r\n", data.len())
-            .and_then(|()| self.stream.write_all(data))
-            .and_then(|()| self.stream.write_all(b"\r\n"))
-            .and_then(|()| self.stream.flush());
-        if r.is_err() {
-            self.alive = false;
-        }
+        self.buf.clear();
+        let _ = write!(self.buf, "{:x}\r\n", data.len());
+        self.buf.extend_from_slice(data);
+        self.buf.extend_from_slice(b"\r\n");
+        self.send();
     }
 
     /// Mark the body unfinishable (e.g. a source read failed): the
@@ -356,11 +404,19 @@ impl<'a> ChunkedWriter<'a> {
 
     fn finish(&mut self) {
         if self.alive {
-            let _ = self
-                .stream
-                .write_all(b"0\r\n\r\n")
-                .and_then(|()| self.stream.flush());
+            self.buf.clear();
+            self.buf.extend_from_slice(b"0\r\n\r\n");
+            self.send();
         }
+    }
+
+    /// Write the framed buffer and flush; any error kills the writer.
+    fn send(&mut self) {
+        self.alive = self
+            .stream
+            .write_all(&self.buf)
+            .and_then(|()| self.stream.flush())
+            .is_ok();
     }
 }
 
@@ -550,6 +606,10 @@ fn lingering_close(stream: &TcpStream) {
 /// order), one response per request, until close/cap/idle/shutdown.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let config = &shared.config;
+    // Responses already leave as whole writes, so Nagle's coalescing
+    // buys nothing; left on, any segment sent while an earlier one is
+    // unacknowledged waits out the client's delayed ACK (~40 ms).
+    let _ = stream.set_nodelay(true);
     if !config.read_timeout.is_zero() {
         let _ = stream.set_read_timeout(Some(config.read_timeout));
     }
@@ -729,8 +789,8 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
     let client = request.client.as_deref().unwrap_or(peer);
 
     // One lock acquisition for the admission decision *and* its
-    // follow-up handle, so a coalesced request always finds its cell
-    // and a hit always finds its entry.
+    // follow-up handle, so a coalesced request always finds its cell;
+    // a hit's report comes from the very read that decided the hit.
     enum Plan {
         Hit(String, String),
         Wait(String, Arc<super::scheduler::JobCell>, &'static str),
@@ -738,12 +798,9 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
     }
     let plan = {
         let mut sched = shared.scheduler();
-        let (key, disposition) = sched.submit_from(spec, request.priority, client);
+        let (key, disposition, report) = sched.submit_from(spec, request.priority, client);
         match disposition {
-            Disposition::CacheHit => {
-                let cached = sched.result(&key).expect("a hit key is cached");
-                Plan::Hit(key, cached.report)
-            }
+            Disposition::CacheHit => Plan::Hit(key, report.expect("a hit carries its report")),
             Disposition::Coalesced => {
                 let cell = sched.watch(&key).expect("a coalesced key has a cell");
                 Plan::Wait(key, cell, "coalesced")
@@ -785,8 +842,8 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
                 let cell = shared.scheduler().watch(&key);
                 match cell {
                     Some(cell) => answer_from_cell(&key, &cell, "miss", stream, keep),
-                    None => match shared.scheduler().result(&key) {
-                        Some(cached) => {
+                    None => match shared.scheduler().report(&key) {
+                        Some(report) => {
                             let _ = respond(
                                 stream,
                                 200,
@@ -794,7 +851,7 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
                                 "text/plain",
                                 &[("X-Wafer-Cache", "miss"), ("X-Wafer-Key", &key)],
                                 keep,
-                                cached.report.as_bytes(),
+                                report.as_bytes(),
                             );
                         }
                         None => {
@@ -869,20 +926,12 @@ fn run_and_stream(
     keep: bool,
 ) -> bool {
     let streaming = own_idx.is_some();
-    let head_ok = !streaming
-        || stream_head(
-            stream,
-            &[("X-Wafer-Cache", "miss"), ("X-Wafer-Key", key)],
-            keep,
-        )
-        .is_ok();
-    let writer = Mutex::new(ChunkedWriter::new(stream));
-    if !head_ok {
-        writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .die();
-    }
+    let writer = Mutex::new(if streaming {
+        let extra = [("X-Wafer-Cache", "miss"), ("X-Wafer-Key", key)];
+        ChunkedWriter::start(stream, &extra, keep)
+    } else {
+        ChunkedWriter::silent(stream)
+    });
     let pass = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_batch(batch, own_idx.unwrap_or(batch.len()), &|frag: &str| {
@@ -956,9 +1005,9 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
     }
     match artifact {
         None => {
-            let cached = shared.scheduler().result(key);
-            match cached {
-                Some(cached) => {
+            let report = shared.scheduler().report(key);
+            match report {
+                Some(report) => {
                     let _ = respond(
                         stream,
                         200,
@@ -966,7 +1015,7 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
                         "text/plain",
                         &[("X-Wafer-Key", key)],
                         keep,
-                        cached.report.as_bytes(),
+                        report.as_bytes(),
                     );
                 }
                 None => {
@@ -1019,14 +1068,12 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
 }
 
 /// Stream a cached file as a chunked body without ever holding more
-/// than one chunk in memory.
+/// than one chunk (and its framed copy) in memory. Reading stops once
+/// the client has gone.
 fn stream_file(mut file: File, key: &str, stream: &mut TcpStream, keep: bool) {
-    if stream_head(stream, &[("X-Wafer-Key", key)], keep).is_err() {
-        return;
-    }
-    let mut writer = ChunkedWriter::new(stream);
+    let mut writer = ChunkedWriter::start(stream, &[("X-Wafer-Key", key)], keep);
     let mut buf = vec![0u8; STREAM_CHUNK];
-    loop {
+    while writer.alive {
         match file.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => writer.chunk(&buf[..n]),
@@ -1037,4 +1084,175 @@ fn stream_file(mut file: File, key: &str, stream: &mut TcpStream, keep: bool) {
         }
     }
     writer.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every byte and counts `write` calls; with `cap` set,
+    /// accepts at most that many bytes per call (a short write).
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+        cap: Option<usize>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = self.cap.map_or(buf.len(), |cap| buf.len().min(cap));
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.writes += 1;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Fails every write, like a socket whose peer has gone.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const KEY: &str = "0123456789abcdef";
+
+    fn text(w: &Counting) -> &str {
+        std::str::from_utf8(&w.bytes).unwrap()
+    }
+
+    #[test]
+    fn a_hit_is_one_write_with_unchanged_bytes() {
+        let mut w = Counting::default();
+        let extra = [("X-Wafer-Cache", "hit"), ("X-Wafer-Key", KEY)];
+        respond(&mut w, 200, "OK", "text/plain", &extra, true, b"report\n").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            text(&w),
+            "HTTP/1.1 200 OK\r\n\
+             Content-Type: text/plain\r\n\
+             Content-Length: 7\r\n\
+             Connection: keep-alive\r\n\
+             X-Wafer-Cache: hit\r\n\
+             X-Wafer-Key: 0123456789abcdef\r\n\
+             \r\n\
+             report\n"
+        );
+    }
+
+    #[test]
+    fn a_json_error_is_one_write_with_unchanged_bytes() {
+        let mut w = Counting::default();
+        let body = error_body("unknown result key");
+        respond(
+            &mut w,
+            404,
+            "Not Found",
+            "application/json",
+            &[],
+            false,
+            &body,
+        )
+        .unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            text(&w),
+            "HTTP/1.1 404 Not Found\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: 31\r\n\
+             Connection: close\r\n\
+             \r\n\
+             {\"error\":\"unknown result key\"}\n"
+        );
+    }
+
+    #[test]
+    fn a_chunked_body_is_one_write_per_head_chunk_and_terminator() {
+        let mut w = Counting::default();
+        let mut writer = ChunkedWriter::start(&mut w, &[("X-Wafer-Key", KEY)], true);
+        assert_eq!(writer.stream.writes, 1, "the head");
+        writer.chunk(b"hello ");
+        assert_eq!(writer.stream.writes, 2, "one write per chunk");
+        writer.chunk(b"");
+        assert_eq!(writer.stream.writes, 2, "an empty fragment sends nothing");
+        writer.chunk(b"wafer-scale world\n");
+        assert_eq!(writer.stream.writes, 3);
+        writer.finish();
+        assert_eq!(w.writes, 4, "the terminal chunk");
+        assert_eq!(
+            text(&w),
+            "HTTP/1.1 200 OK\r\n\
+             Content-Type: text/plain\r\n\
+             Transfer-Encoding: chunked\r\n\
+             Connection: keep-alive\r\n\
+             X-Wafer-Key: 0123456789abcdef\r\n\
+             \r\n\
+             6\r\nhello \r\n\
+             12\r\nwafer-scale world\n\r\n\
+             0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn short_writes_still_deliver_every_byte() {
+        let mut whole = Counting::default();
+        let mut short = Counting {
+            cap: Some(5),
+            ..Counting::default()
+        };
+        for w in [&mut whole, &mut short] {
+            respond(w, 200, "OK", "text/plain", &[], true, b"0123456789").unwrap();
+            let mut writer = ChunkedWriter::start(&mut *w, &[], false);
+            writer.chunk(&[b'x'; 40]);
+            writer.finish();
+        }
+        assert_eq!(short.bytes, whole.bytes);
+        assert!(short.writes > whole.writes);
+    }
+
+    #[test]
+    fn the_chunk_buffer_is_reused_across_chunks() {
+        let mut w = Counting::default();
+        let mut writer = ChunkedWriter::start(&mut w, &[], true);
+        let data = vec![b'a'; STREAM_CHUNK];
+        writer.chunk(&data);
+        let capacity = writer.buf.capacity();
+        let base = writer.buf.as_ptr();
+        for _ in 0..8 {
+            writer.chunk(&data);
+        }
+        assert_eq!(writer.buf.capacity(), capacity);
+        assert_eq!(writer.buf.as_ptr(), base, "no reallocation per chunk");
+    }
+
+    #[test]
+    fn a_dead_writer_drops_chunks_and_withholds_the_terminator() {
+        let mut writer = ChunkedWriter::start(Broken, &[], true);
+        assert!(!writer.alive, "a failed head kills the writer");
+        writer.chunk(b"lost");
+        writer.finish();
+
+        let mut w = Counting::default();
+        let mut writer = ChunkedWriter::start(&mut w, &[], true);
+        writer.chunk(b"part");
+        writer.die();
+        writer.chunk(b"never");
+        writer.finish();
+        assert_eq!(w.writes, 2, "head and the one live chunk");
+        assert!(text(&w).ends_with("4\r\npart\r\n"));
+
+        let mut w = Counting::default();
+        ChunkedWriter::silent(&mut w).chunk(b"unwatched");
+        assert_eq!(w.writes, 0, "a silent writer sends nothing");
+    }
 }

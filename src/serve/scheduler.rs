@@ -374,30 +374,33 @@ impl Scheduler {
     /// exactly one admission-outcome trace event (`hit`, `coalesced`,
     /// or `admitted`) per call.
     pub fn submit(&mut self, spec: ScenarioSpec) -> (String, Disposition) {
-        self.submit_from(spec, Priority::Normal, "drain")
+        let (key, disposition, _) = self.submit_from(spec, Priority::Normal, "drain");
+        (key, disposition)
     }
 
     /// [`Scheduler::submit`] with an explicit priority band and client
     /// identity — the HTTP layer's entry point. The band and client
     /// only steer *dispatch order*; the key, the artifacts, and the
-    /// disposition logic are identical for every identity.
+    /// disposition logic are identical for every identity. A hit also
+    /// hands back its report, read by the same one-file cache access
+    /// that decided the hit.
     pub fn submit_from(
         &mut self,
         spec: ScenarioSpec,
         priority: Priority,
         client: &str,
-    ) -> (String, Disposition) {
+    ) -> (String, Disposition, Option<String>) {
         self.stats.requests += 1;
         let key = spec.key();
-        if self.cache.lookup(&key).is_some() {
+        if let Some(report) = self.cache.report(&key) {
             self.stats.cache_hits += 1;
             self.metrics.trace(TraceEvent::new("hit").key(&key));
-            return (key, Disposition::CacheHit);
+            return (key, Disposition::CacheHit, Some(report));
         }
         if self.cells.contains_key(&key) {
             self.stats.coalesced += 1;
             self.metrics.trace(TraceEvent::new("coalesced").key(&key));
-            return (key, Disposition::Coalesced);
+            return (key, Disposition::Coalesced, None);
         }
         self.queue.push(Job {
             key: key.clone(),
@@ -412,7 +415,7 @@ impl Scheduler {
                 .key(&key)
                 .tag("band", priority.label()),
         );
-        (key, Disposition::Queued)
+        (key, Disposition::Queued, None)
     }
 
     /// The completion cell of a queued or in-flight key, if any. Cells
@@ -556,6 +559,12 @@ impl Scheduler {
     /// access for cache eviction.
     pub fn result(&mut self, key: &str) -> Option<CachedResult> {
         self.cache.lookup(key)
+    }
+
+    /// Read only a key's cached `report.txt` — the bytes a served
+    /// request answers with. Counts as an access for cache eviction.
+    pub fn report(&mut self, key: &str) -> Option<String> {
+        self.cache.report(key)
     }
 
     /// Open a key's cached trajectory for streaming, with its length.

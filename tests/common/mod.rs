@@ -57,6 +57,29 @@ pub fn dechunk(body: &str) -> String {
     }
 }
 
+/// Connect a test client with Nagle off, as the server runs: requests
+/// go out in one write each, so nothing waits on a delayed ACK.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to test server");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    stream
+}
+
+/// Render one request — request line, `Host`, `Content-Length`, the
+/// `extra` headers, the blank line and the body — into one buffer.
+fn render_request(method: &str, path: &str, extra: &[(&str, &str)], body: &str) -> Vec<u8> {
+    let mut request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: wafer-md\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in extra {
+        request.push_str(&format!("{name}: {value}\r\n"));
+    }
+    request.push_str("\r\n");
+    request.push_str(body);
+    request.into_bytes()
+}
+
 /// One request/response exchange on a fresh connection: returns
 /// (status, lowercased headers, de-framed body). Sends
 /// `Connection: close` so the server ends the connection after the
@@ -67,13 +90,9 @@ pub fn http(
     path: &str,
     body: &str,
 ) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to test server");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: wafer-md\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
+    let mut stream = connect(addr);
+    let request = render_request(method, path, &[("Connection", "close")], body);
+    stream.write_all(&request).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     let (head, body) = response
@@ -117,23 +136,17 @@ impl KeepAliveClient {
     /// Connect a persistent client to the test server.
     pub fn connect(addr: SocketAddr) -> Self {
         Self {
-            stream: TcpStream::connect(addr).expect("connect to test server"),
+            stream: connect(addr),
             buf: Vec::new(),
         }
     }
 
-    /// Write one request, leaving the connection open (HTTP/1.1
-    /// default keep-alive; no `Connection` header is sent). `extra`
-    /// headers ride along verbatim.
+    /// Write one request in one write, leaving the connection open
+    /// (HTTP/1.1 default keep-alive; no `Connection` header is sent).
+    /// `extra` headers ride along verbatim.
     pub fn send(&mut self, method: &str, path: &str, extra: &[(&str, &str)], body: &str) {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: wafer-md\r\nContent-Length: {}\r\n",
-            body.len()
-        );
-        for (name, value) in extra {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        write!(self.stream, "{head}\r\n{body}").expect("write request");
+        let request = render_request(method, path, extra, body);
+        self.stream.write_all(&request).expect("write request");
     }
 
     /// Read exactly one response off the socket: (status, lowercased

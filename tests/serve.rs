@@ -8,8 +8,9 @@ mod common;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::{Duration, Instant};
 
-use common::{fixture_spec, header, http, scratch};
+use common::{fixture_spec, header, http, scratch, KeepAliveClient};
 use proptest::prelude::*;
 use wafer_md::json::Value;
 use wafer_md::md::materials::Species;
@@ -88,10 +89,10 @@ fn claims_interleave_clients_fairly_and_count_preemptions() {
     let g: Vec<ScenarioSpec> = (0..4).map(|i| seeded_sharded(500 + i)).collect();
     let p = seeded(900);
     for s in &g[..2] {
-        let (_, d) = scheduler.submit_from(*s, Priority::Normal, "greedy");
+        let (_, d, _) = scheduler.submit_from(*s, Priority::Normal, "greedy");
         assert_eq!(d, Disposition::Queued);
     }
-    let (_, d) = scheduler.submit_from(p, Priority::Normal, "polite");
+    let (_, d, _) = scheduler.submit_from(p, Priority::Normal, "polite");
     assert_eq!(d, Disposition::Queued);
     for s in &g[2..] {
         scheduler.submit_from(*s, Priority::Normal, "greedy");
@@ -307,6 +308,43 @@ fn http_server_round_trip_hit_miss_stats_and_hints() {
     let (status, _, bye) = http(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     assert_eq!(bye, "shutting down\n");
+    handle.join().expect("server thread exits cleanly");
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// Keep-alive hits must not wait on the client's delayed ACK: with a
+/// response split over several segments and Nagle on, each one stalls
+/// ~40 ms, so 50 take ≥ 2 s; written whole with `TCP_NODELAY` they take
+/// milliseconds.
+#[test]
+fn keep_alive_hits_do_not_stall_on_delayed_acks() {
+    let root = scratch("ka-latency");
+    let mut server = Server::bind("127.0.0.1:0", &root).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve().unwrap());
+
+    let request = fixture_spec().to_json();
+    let mut client = KeepAliveClient::connect(addr);
+    let (status, headers, miss) = client.exchange("POST", "/run", &[], &request);
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-wafer-cache"), "miss");
+
+    let started = Instant::now();
+    for i in 0..50 {
+        let (status, headers, hit) = client.exchange("POST", "/run", &[], &request);
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, "x-wafer-cache"), "hit");
+        assert_eq!(hit, miss, "hit {i} body is byte-identical to the miss");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 keep-alive hits took {elapsed:?}: responses are waiting on delayed ACKs"
+    );
+    drop(client);
+
+    let (status, _, _) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
     handle.join().expect("server thread exits cleanly");
     fs::remove_dir_all(&root).unwrap();
 }
