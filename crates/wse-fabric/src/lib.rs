@@ -20,17 +20,14 @@
 //! this simulator reproduces its *schedule* and *cost*, which is what the
 //! paper's evaluation measures.
 
-pub mod collective;
 pub mod cost;
 pub mod fabric;
 pub mod geometry;
 pub mod multicast;
 pub mod router;
 pub mod tile;
-pub mod trace;
 
 pub use cost::{CostModel, WSE2_CLOCK_GHZ};
 pub use fabric::Fabric;
 pub use geometry::{Coord, Extent, WSE2_CORES, WSE2_EXTENT};
 pub use tile::{CycleCounter, SramBudget, TILE_SRAM_BYTES};
-pub use trace::{Stats, TimestepTrace};

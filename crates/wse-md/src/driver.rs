@@ -541,8 +541,8 @@ impl WseMdSim {
         if self.config.symmetric_forces {
             // Sec. VI-A-3: each (i, j) term is computed once by the
             // lower-index core and the partner's share (−f) returns via a
-            // neighborhood reduction (`wse_fabric::collective`). The
-            // functional equivalent accumulates both sides directly.
+            // neighborhood reduction over the fabric. The functional
+            // equivalent accumulates both sides directly.
             for f in self.force.iter_mut() {
                 *f = V3f::new(0.0, 0.0, 0.0);
             }

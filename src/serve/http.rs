@@ -28,12 +28,6 @@
 //! | `GET /result/<key>/trajectory.xyz`| stream a cached trajectory (chunked, never buffered whole) |
 //! | `POST /shutdown`                  | acknowledge, then drain acceptors *and* idle persistent connections, and exit |
 //!
-//! Two optional request headers steer scheduling (never results):
-//! `X-Wafer-Priority: high|normal|low` picks the strict dispatch band
-//! (default `normal`), and `X-Wafer-Client` overrides the client
-//! identity used for round-robin fairness within a band (default: the
-//! peer IP). See [`super::queue::JobQueue`] for the discipline.
-//!
 //! Every `POST /run` answer carries `X-Wafer-Key` (the spec's canonical
 //! cache key) and `X-Wafer-Cache: hit|miss|coalesced`. The *body* is
 //! the run's `report.txt` bytes in every case — byte-identical whether
@@ -44,16 +38,13 @@
 //! de-chunked body is still byte-identical to a hit.
 //!
 //! Concurrency discipline: the [`Scheduler`] behind one mutex is the
-//! single coordination point. A worker whose request misses claims a
-//! batch — whatever *fairness* dispatches next plus its
-//! geometry-compatible run, which is not necessarily the worker's own
-//! job — runs it *outside* the lock, then completes each job, filling
-//! the [`crate::serve::JobCell`]s that coalesced waiters (and workers
-//! whose own job landed in someone else's batch) block on. Every
-//! queued request claims exactly once, and a claim always takes the
-//! queue front when work is pending, so every queued job is claimed by
-//! *someone* and no worker can wait on an unclaimed job. One engine
-//! run per unique in-flight spec, no exceptions, at any pool width.
+//! single coordination point. A request is a hit, coalesces onto the
+//! in-flight run for its key, or is run and streamed by the worker that
+//! admitted it — outside the lock, as a batch of one — which then
+//! completes the job, filling the [`JobCell`] that coalesced waiters
+//! block on. A run's key holds its cell from admission to completion,
+//! so there is one engine run per unique in-flight spec, no exceptions,
+//! at any pool width.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -67,8 +58,8 @@ use std::time::{Duration, Instant};
 
 use super::cache::{is_valid_key, ResultCache};
 use super::metrics::{ServeMetrics, TraceEvent};
-use super::queue::{Job, Priority};
-use super::scheduler::{run_batch, Disposition, Scheduler};
+use super::queue::Job;
+use super::scheduler::{run_spec_streaming, Disposition, JobCell, Scheduler};
 use crate::json::Value;
 use crate::scenario::ScenarioSpec;
 
@@ -126,10 +117,6 @@ struct Request {
     /// without `Content-Length` always closes: any unframed body bytes
     /// are drained at close, never parsed as a next request.
     keep_alive: bool,
-    /// The dispatch band from `X-Wafer-Priority` (default normal).
-    priority: Priority,
-    /// The fairness identity from `X-Wafer-Client`, when given.
-    client: Option<String>,
 }
 
 /// Why a request could not be parsed.
@@ -188,8 +175,6 @@ fn read_request(
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.1"));
     let mut content_length: Option<usize> = None;
     let mut connection: Option<String> = None;
-    let mut priority = Priority::Normal;
-    let mut client: Option<String> = None;
     loop {
         let mut header = String::new();
         match reader.read_line(&mut header) {
@@ -226,20 +211,6 @@ fn read_request(
                 };
             } else if name.eq_ignore_ascii_case("connection") {
                 connection = Some(value.trim().to_ascii_lowercase());
-            } else if name.eq_ignore_ascii_case("x-wafer-priority") {
-                priority = match Priority::parse(value) {
-                    Some(p) => p,
-                    None => {
-                        return Err(RequestError::Malformed(
-                            "invalid X-Wafer-Priority (use high, normal, or low)".into(),
-                        ))
-                    }
-                };
-            } else if name.eq_ignore_ascii_case("x-wafer-client") {
-                let value = value.trim();
-                if !value.is_empty() {
-                    client = Some(value.to_string());
-                }
             }
         }
     }
@@ -277,8 +248,6 @@ fn read_request(
         path,
         body,
         keep_alive,
-        priority,
-        client,
     }))
 }
 
@@ -374,15 +343,6 @@ impl<W: Write> ChunkedWriter<W> {
         );
         writer.send();
         writer
-    }
-
-    /// A dead writer that sends nothing at all.
-    fn silent(stream: W) -> Self {
-        Self {
-            stream,
-            buf: Vec::new(),
-            alive: false,
-        }
     }
 
     fn chunk(&mut self, data: &[u8]) {
@@ -616,10 +576,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     if !config.write_timeout.is_zero() {
         let _ = stream.set_write_timeout(Some(config.write_timeout));
     }
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".into());
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -646,7 +602,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 let keep = request.keep_alive
                     && served < config.max_requests_per_conn
                     && !shared.shutdown.load(Ordering::SeqCst);
-                dispatch(&request, &mut stream, shared, &peer, keep);
+                dispatch(&request, &mut stream, shared, keep);
                 if !keep || shared.shutdown.load(Ordering::SeqCst) {
                     return lingering_close(&stream);
                 }
@@ -697,9 +653,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &str, keep: bool) {
+fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, keep: bool) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/run") => post_run(request, stream, shared, peer, keep),
+        ("POST", "/run") => post_run(request, stream, shared, keep),
         ("GET", "/stats") => {
             let mut body = shared.scheduler().stats_json().into_bytes();
             body.push(b'\n');
@@ -763,7 +719,7 @@ fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
 }
 
 /// `POST /run`: admit the spec and answer with the report bytes.
-fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &str, keep: bool) {
+fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, keep: bool) {
     let spec = std::str::from_utf8(&request.body)
         .map_err(|_| "request body is not UTF-8".to_string())
         .and_then(|text| ScenarioSpec::from_json(text).map_err(|e| e.to_string()));
@@ -786,31 +742,18 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
     // every valid request — so at quiescence the service histogram's
     // count equals the `requests` counter.
     let started = Instant::now();
-    let client = request.client.as_deref().unwrap_or(peer);
-
-    // One lock acquisition for the admission decision *and* its
-    // follow-up handle, so a coalesced request always finds its cell;
-    // a hit's report comes from the very read that decided the hit.
-    enum Plan {
-        Hit(String, String),
-        Wait(String, Arc<super::scheduler::JobCell>, &'static str),
-        Run(String),
-    }
-    let plan = {
+    // One lock acquisition admits the request and, for a new run,
+    // starts it as this worker's batch of one.
+    let (key, disposition) = {
         let mut sched = shared.scheduler();
-        let (key, disposition, report) = sched.submit_from(spec, request.priority, client);
-        match disposition {
-            Disposition::CacheHit => Plan::Hit(key, report.expect("a hit carries its report")),
-            Disposition::Coalesced => {
-                let cell = sched.watch(&key).expect("a coalesced key has a cell");
-                Plan::Wait(key, cell, "coalesced")
-            }
-            Disposition::Queued => Plan::Run(key),
+        let submitted = sched.submit(spec);
+        if let Disposition::Run(job) = &submitted.1 {
+            sched.start_batch(std::slice::from_ref(job));
         }
+        submitted
     };
-
-    match plan {
-        Plan::Hit(key, report) => {
+    match disposition {
+        Disposition::CacheHit(report) => {
             let _ = respond(
                 stream,
                 200,
@@ -821,66 +764,14 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, peer: &s
                 report.as_bytes(),
             );
         }
-        Plan::Wait(key, cell, label) => {
-            answer_from_cell(&key, &cell, label, stream, keep);
-        }
-        Plan::Run(key) => {
-            // Claim whatever fairness dispatches next — possibly not
-            // this worker's own job. Every queued request claims
-            // exactly once, so every queued job is claimed by someone.
-            let batch = shared.scheduler().claim_batch();
-            let own_idx = batch.iter().position(|job| job.key == key);
-            let answered = if batch.is_empty() {
-                false
-            } else {
-                run_and_stream(&batch, own_idx, &key, stream, shared, keep)
-            };
-            if !answered {
-                // This worker's own job wasn't in its claim: another
-                // worker has (or had) it. Wait on its cell, falling
-                // back to the cache if it already completed.
-                let cell = shared.scheduler().watch(&key);
-                match cell {
-                    Some(cell) => answer_from_cell(&key, &cell, "miss", stream, keep),
-                    None => match shared.scheduler().report(&key) {
-                        Some(report) => {
-                            let _ = respond(
-                                stream,
-                                200,
-                                "OK",
-                                "text/plain",
-                                &[("X-Wafer-Cache", "miss"), ("X-Wafer-Key", &key)],
-                                keep,
-                                report.as_bytes(),
-                            );
-                        }
-                        None => {
-                            let _ = respond(
-                                stream,
-                                404,
-                                "Not Found",
-                                "application/json",
-                                &[],
-                                keep,
-                                &error_body("result evicted before it could be read"),
-                            );
-                        }
-                    },
-                }
-            }
-        }
+        Disposition::Coalesced(cell) => answer_from_cell(&key, &cell, stream, keep),
+        Disposition::Run(job) => run_and_stream(&job, stream, shared, keep),
     }
     shared.metrics.service.record_duration(started.elapsed());
 }
 
-/// Answer a waiter once its job's runner publishes the artifacts.
-fn answer_from_cell(
-    key: &str,
-    cell: &super::scheduler::JobCell,
-    label: &str,
-    stream: &mut TcpStream,
-    keep: bool,
-) {
+/// Answer a coalesced request once the run it rides on settles.
+fn answer_from_cell(key: &str, cell: &JobCell, stream: &mut TcpStream, keep: bool) {
     match cell.wait() {
         Some(artifacts) => {
             let _ = respond(
@@ -888,7 +779,7 @@ fn answer_from_cell(
                 200,
                 "OK",
                 "text/plain",
-                &[("X-Wafer-Cache", label), ("X-Wafer-Key", key)],
+                &[("X-Wafer-Cache", "coalesced"), ("X-Wafer-Key", key)],
                 keep,
                 artifacts.report.as_bytes(),
             );
@@ -907,78 +798,37 @@ fn answer_from_cell(
     }
 }
 
-/// Execute a claimed batch. When the runner's own job is in the batch
-/// (`own_idx`), its report streams to the client as chunked transfer
-/// encoding, fragment by fragment, while the physics is still running,
-/// and the call returns `true` (the request was answered). When the
-/// claim was entirely other clients' work (`own_idx` is `None`), the
-/// batch runs without streaming and the call returns `false` — the
-/// caller answers its own request from its job's cell afterwards. A
-/// client that disconnects mid-response only silences the stream — the
-/// batch still runs to completion and every result is cached and
-/// published, because the claimed jobs' waiters depend on it.
-fn run_and_stream(
-    batch: &[Job],
-    own_idx: Option<usize>,
-    key: &str,
-    stream: &mut TcpStream,
-    shared: &Shared,
-    keep: bool,
-) -> bool {
-    let streaming = own_idx.is_some();
-    let writer = Mutex::new(if streaming {
-        let extra = [("X-Wafer-Cache", "miss"), ("X-Wafer-Key", key)];
-        ChunkedWriter::start(stream, &extra, keep)
-    } else {
-        ChunkedWriter::silent(stream)
-    });
+/// Run this worker's own job and stream its report to the client as
+/// chunked transfer encoding, fragment by fragment, while the physics
+/// is still running. A client that disconnects mid-response only
+/// silences the stream — the run still completes and its result is
+/// cached and published, because coalesced waiters depend on it.
+fn run_and_stream(job: &Job, stream: &mut TcpStream, shared: &Shared, keep: bool) {
+    let extra = [("X-Wafer-Cache", "miss"), ("X-Wafer-Key", job.key.as_str())];
+    let mut writer = ChunkedWriter::start(stream, &extra, keep);
     let pass = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_batch(batch, own_idx.unwrap_or(batch.len()), &|frag: &str| {
-            writer
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .chunk(frag.as_bytes());
-        })
+        run_spec_streaming(&job.spec, &mut |frag| writer.chunk(frag.as_bytes()))
     }));
     match outcome {
         Ok(artifacts) => {
             shared.metrics.batch_pass.record_duration(pass.elapsed());
-            shared.metrics.batch_occupancy.record(batch.len() as u64);
-            let mut sched = shared.scheduler();
-            for (job, a) in batch.iter().zip(artifacts) {
-                // A cache-insert failure (e.g. disk full) still fills
-                // the job's cell, so no waiter is ever stranded.
-                let _ = sched.complete(job, a);
-            }
-            drop(sched);
-            if streaming {
-                writer
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .finish();
-                shared.metrics.trace(TraceEvent::new("streamed").key(key));
-            }
-            streaming
+            shared.metrics.batch_occupancy.record(1);
+            // A cache-insert failure (e.g. disk full) still fills the
+            // job's cell, so no waiter is ever stranded.
+            let _ = shared.scheduler().complete(job, artifacts);
+            writer.finish();
+            shared
+                .metrics
+                .trace(TraceEvent::new("streamed").key(&job.key));
         }
         Err(_) => {
-            // A run panicked (an invariant break, not a client fault):
-            // abandon every claimed job so waiters get a 500 instead of
-            // blocking forever, and withhold the terminal chunk so this
-            // client sees the truncation.
-            let mut sched = shared.scheduler();
-            for job in batch {
-                sched.abandon(&job.key);
-            }
-            drop(sched);
-            writer
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .die();
-            // Streaming already sent a (now truncated) head, so the
-            // request counts as answered; a non-streaming runner falls
-            // back to its own cell, which `abandon` just settled.
-            streaming
+            // The run panicked (an invariant break, not a client fault):
+            // abandon the job so waiters get a 500 instead of blocking
+            // forever, and withhold the terminal chunk so this client
+            // sees the truncation.
+            shared.scheduler().abandon(&job.key);
+            writer.die();
         }
     }
 }
@@ -1250,9 +1100,5 @@ mod tests {
         writer.finish();
         assert_eq!(w.writes, 2, "head and the one live chunk");
         assert!(text(&w).ends_with("4\r\npart\r\n"));
-
-        let mut w = Counting::default();
-        ChunkedWriter::silent(&mut w).chunk(b"unwatched");
-        assert_eq!(w.writes, 0, "a silent writer sends nothing");
     }
 }

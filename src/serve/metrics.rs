@@ -226,19 +226,16 @@ impl PromUnit {
 pub struct TraceEvent {
     event: &'static str,
     key: Option<String>,
-    tags: Vec<(&'static str, String)>,
     extra: Vec<(&'static str, u64)>,
 }
 
 impl TraceEvent {
     /// An event of the given kind (`accepted`, `reused`, `admitted`,
-    /// `coalesced`, `hit`, `batched`, `preempted`, `run`, `evicted`,
-    /// `streamed`).
+    /// `coalesced`, `hit`, `batched`, `run`, `evicted`, `streamed`).
     pub fn new(event: &'static str) -> Self {
         Self {
             event,
             key: None,
-            tags: Vec::new(),
             extra: Vec::new(),
         }
     }
@@ -246,13 +243,6 @@ impl TraceEvent {
     /// Attach the request's cache key.
     pub fn key(mut self, key: &str) -> Self {
         self.key = Some(key.to_string());
-        self
-    }
-
-    /// Attach an extra string field (e.g. the priority band).
-    /// Deterministic fields only — timing never renders as a string.
-    pub fn tag(mut self, field: &'static str, value: &str) -> Self {
-        self.tags.push((field, value.to_string()));
         self
     }
 
@@ -268,9 +258,6 @@ impl TraceEvent {
         let mut fields = vec![("event".to_string(), Value::Str(self.event.into()))];
         if let Some(key) = &self.key {
             fields.push(("key".to_string(), Value::Str(key.clone())));
-        }
-        for (name, value) in &self.tags {
-            fields.push((name.to_string(), Value::Str(value.clone())));
         }
         for (name, value) in &self.extra {
             fields.push((name.to_string(), Value::Uint(*value)));
@@ -389,7 +376,7 @@ impl Drop for Tracer {
 pub struct ServeMetrics {
     /// `POST /run` service time (spec parsed → response finished), µs.
     pub service: Histogram,
-    /// Queue wait (job enqueued → claimed into a batch), µs.
+    /// Queue wait (job admitted → its batch started), µs.
     pub queue_wait: Histogram,
     /// Engine wall time of one physics run, µs.
     pub engine_run: Histogram,
@@ -598,16 +585,10 @@ impl ServeMetrics {
     /// The `GET /stats/prom` body: Prometheus text exposition format
     /// (version 0.0.4) over the same counters and histograms as
     /// `GET /stats`.
-    pub fn prometheus(
-        &self,
-        stats: &ServeStats,
-        pending: usize,
-        depths: [usize; 3],
-        cache: CacheUsage,
-    ) -> String {
+    pub fn prometheus(&self, stats: &ServeStats, pending: usize, cache: CacheUsage) -> String {
         let (reused, pipelined) = self.connection_reuse_counts();
         let mut out = String::new();
-        let scalars: [(&str, &str, &str, u64); 16] = [
+        let scalars: [(&str, &str, &str, u64); 15] = [
             (
                 "wafer_md_requests_total",
                 "counter",
@@ -657,12 +638,6 @@ impl ServeMetrics {
                 stats.early_exchanges,
             ),
             (
-                "wafer_md_fairness_preemptions_total",
-                "counter",
-                "Batch sweeps stopped by fairness with compatible work still pending.",
-                stats.fairness_preemptions,
-            ),
-            (
                 "wafer_md_reused_connections_total",
                 "counter",
                 "Connections that served a second request over keep-alive.",
@@ -683,7 +658,7 @@ impl ServeMetrics {
             (
                 "wafer_md_pending_jobs",
                 "gauge",
-                "Queued jobs not yet claimed by a runner.",
+                "Admitted runs not yet settled.",
                 pending as u64,
             ),
             (
@@ -709,14 +684,6 @@ impl ServeMetrics {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {value}");
-        }
-        let _ = writeln!(
-            out,
-            "# HELP wafer_md_pending_band_jobs Queued jobs per priority band."
-        );
-        let _ = writeln!(out, "# TYPE wafer_md_pending_band_jobs gauge");
-        for (band, depth) in ["high", "normal", "low"].iter().zip(depths) {
-            let _ = writeln!(out, "wafer_md_pending_band_jobs{{band=\"{band}\"}} {depth}");
         }
         for (name, help, nanos) in [
             (
@@ -926,15 +893,6 @@ mod tests {
         // remainder as valid JSON — the CI trace filter's contract.
         let stripped = r#"{"event":"batched","key":"0123456789abcdef","batch":2}"#;
         assert!(Value::parse(stripped).is_ok());
-        // String tags render between the key and the integer extras.
-        let line = TraceEvent::new("admitted")
-            .key("0123456789abcdef")
-            .tag("band", "high")
-            .render(5);
-        assert_eq!(
-            line,
-            r#"{"event":"admitted","key":"0123456789abcdef","band":"high","t_us":5}"#
-        );
     }
 
     #[test]
@@ -1025,7 +983,7 @@ mod tests {
         };
         metrics.reused_connection();
         metrics.pipelined_request();
-        let text = metrics.prometheus(&stats, 1, [0, 1, 0], CacheUsage::default());
+        let text = metrics.prometheus(&stats, 1, CacheUsage::default());
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines() {
             if line.starts_with('#') {
@@ -1044,9 +1002,7 @@ mod tests {
         assert!(text.contains("wafer_md_acceptor_connections_total{acceptor=\"1\"} 1\n"));
         assert!(text.contains("wafer_md_reused_connections_total 1\n"));
         assert!(text.contains("wafer_md_pipelined_requests_total 1\n"));
-        assert!(text.contains("wafer_md_fairness_preemptions_total 0\n"));
-        assert!(text.contains("wafer_md_pending_band_jobs{band=\"normal\"} 1\n"));
-        assert!(text.contains("wafer_md_pending_band_jobs{band=\"high\"} 0\n"));
+        assert!(text.contains("wafer_md_pending_jobs 1\n"));
         // Histogram buckets are cumulative and end at +Inf == _count.
         let buckets: Vec<u64> = text
             .lines()

@@ -20,23 +20,19 @@
 //!   with deterministic LRU eviction: the recency order is persisted in
 //!   an index file, so the eviction sequence is a pure function of the
 //!   access sequence and replays identically across restarts.
-//! - [`JobQueue`] / [`ServeStats`] — pending runs (deduplicated by
-//!   key) under a two-level dispatch discipline: strict [`Priority`]
-//!   bands (`X-Wafer-Priority: high|normal|low`), round-robin across
-//!   client identities within a band — a pure function of the
-//!   admission sequence, never the wall clock — plus the per-process
-//!   counters (`requests`, `runs`, `batches`, `cache_hits`,
-//!   `coalesced`, `fairness_preemptions`, `atoms_steps`, exchange
+//! - [`Job`] / [`ServeStats`] — one admitted run, addressed by its
+//!   canonical key, and the per-process counters (`requests`, `runs`,
+//!   `batches`, `cache_hits`, `coalesced`, `atoms_steps`, exchange
 //!   totals).
-//! - [`Scheduler`] — the single admission/batch/completion loop shared
-//!   by every worker behind one mutex: a request hits the disk cache,
-//!   coalesces onto a pending or in-flight job, or enqueues; a runner
-//!   claims whatever fairness dispatches next *plus*, still in
-//!   fairness order, the geometry-compatible queued misses behind it
-//!   ([`Scheduler::claim_batch`]) and executes the batch in one
-//!   worker-pool pass outside the lock; per-job [`JobCell`]s deliver
-//!   finished artifacts to coalesced waiters (and to workers whose own
-//!   job was swept into another worker's batch) without polling.
+//! - [`Scheduler`] — the single admission/completion point shared by
+//!   every worker behind one mutex: a request hits the disk cache,
+//!   coalesces onto the in-flight run for its key, or becomes a new
+//!   run owned by its submitter, who executes it outside the lock and
+//!   completes it. In `serve`, the worker that admitted a miss runs it
+//!   and streams its report; `--drain` runs the admitted jobs in
+//!   admission order, consecutive geometry-compatible jobs sharing one
+//!   worker-pool pass ([`Scheduler::run_all`]). Per-job [`JobCell`]s
+//!   deliver finished artifacts to coalesced waiters without polling.
 //! - [`ServeMetrics`] — the observability layer: log2-bucket latency
 //!   histograms ([`Histogram`]) for service time, queue wait, engine
 //!   runs, and batch passes; per-acceptor connection counters; shard
@@ -60,7 +56,7 @@
 //!   Cache misses and trajectories stream as chunked transfer encoding
 //!   (self-delimiting, so keep-alive survives streaming).
 //! - [`drain_file`] / [`drain_file_with`] — the `--drain FILE` entry
-//!   point for CI: admit a request file, run the queue to empty, emit
+//!   point for CI: admit a request file, run every admitted job, emit
 //!   a deterministic per-request + summary report, and exit.
 //!
 //! Cache soundness is enforced, not assumed: the served `report.txt`
@@ -86,8 +82,8 @@ mod scheduler;
 pub use cache::{is_valid_key, CacheBudget, CacheUsage, CachedResult, ResultCache};
 pub use http::{ServeConfig, Server};
 pub use metrics::{Histogram, HistogramSnapshot, ServeMetrics, TraceEvent, Tracer, HIST_BUCKETS};
-pub use queue::{Job, JobQueue, Priority, ServeStats};
+pub use queue::{Job, ServeStats};
 pub use scheduler::{
-    drain_file, drain_file_with, run_batch, run_spec, run_spec_streaming, Disposition, JobCell,
-    RunArtifacts, Scheduler,
+    drain_file, drain_file_with, run_spec, run_spec_streaming, Disposition, JobCell, RunArtifacts,
+    Scheduler,
 };

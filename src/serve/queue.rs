@@ -1,220 +1,31 @@
-//! The two-level fair job queue and the per-process serve counters.
+//! The unit of admitted work and the per-process serve counters.
 //!
-//! One admission discipline, used by both the HTTP workers and
-//! `--drain`: a request either hits the disk cache, coalesces onto an
-//! already-queued (or already-running) job for the same key, or
-//! enqueues a new job. Dispatch is two-level. The first level is three
-//! strict [`Priority`] bands (the `X-Wafer-Priority: high|normal|low`
-//! request header; headerless requests and `--drain` are `normal`): a
-//! band dispatches only when every band above it is empty. The second
-//! level is round-robin across client identities *within* a band (the
-//! peer IP, overridable via `X-Wafer-Client`), so no single client can
-//! monopolize the engine pool; within one client's lane, jobs stay
-//! FIFO. The whole order is a pure function of the admission sequence —
-//! no wall clocks participate in any decision — so `--drain` output and
-//! trace byte-determinism survive at any thread count. The queue never
-//! holds two jobs for one key.
-//!
-//! A drain claims *batches* rather than single jobs: the fairness-front
-//! job plus the jobs fairness would dispatch immediately after it, for
-//! as long as they share its execution geometry
-//! ([`crate::scenario::ScenarioSpec::batch_class`]). Unlike the old
-//! FIFO sweep, a batch never reaches past the first job fairness would
-//! dispatch to a different client or band — compatible work left behind
-//! for fairness's sake is counted as a preemption.
+//! A request that misses the cache and finds no in-flight run for its
+//! key is admitted as one [`Job`]. In `serve`, the worker that admitted
+//! the job runs it at once and streams its report. In `--drain`, the
+//! jobs of the whole request file run afterwards in admission order,
+//! consecutive jobs of one
+//! [`crate::scenario::ScenarioSpec::batch_class`] sharing one
+//! worker-pool pass. Either way no wall clock decides any order, so
+//! drain output and traces stay byte-deterministic at any thread count.
+
+use std::time::Instant;
 
 use crate::json::Value;
 use crate::scenario::ScenarioSpec;
 
 use super::cache::CacheUsage;
 
-/// The strict dispatch band a request is admitted into, from the
-/// `X-Wafer-Priority` header (absent → [`Priority::Normal`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    /// Dispatched before everything else.
-    High,
-    /// The default band: headerless requests and `--drain` admissions.
-    #[default]
-    Normal,
-    /// Dispatched only when the other two bands are empty.
-    Low,
-}
-
-impl Priority {
-    /// All bands, in dispatch order.
-    pub const ALL: [Self; 3] = [Self::High, Self::Normal, Self::Low];
-
-    /// Parse an `X-Wafer-Priority` header value. Case-insensitive;
-    /// anything but `high`/`normal`/`low` is `None` (the HTTP layer
-    /// turns that into a 400, never a silent default).
-    pub fn parse(value: &str) -> Option<Self> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "high" => Some(Self::High),
-            "normal" => Some(Self::Normal),
-            "low" => Some(Self::Low),
-            _ => None,
-        }
-    }
-
-    /// The band's stable lowercase label (trace events, stats keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::High => "high",
-            Self::Normal => "normal",
-            Self::Low => "low",
-        }
-    }
-
-    /// The band's index in dispatch order (0 = high).
-    fn band(self) -> usize {
-        match self {
-            Self::High => 0,
-            Self::Normal => 1,
-            Self::Low => 2,
-        }
-    }
-}
-
-/// A queued unit of work: one spec to run, addressed by its canonical
-/// key, tagged with the band and client identity fairness dispatches
-/// by.
+/// One admitted run: a spec, addressed by its canonical key.
 #[derive(Clone, Debug)]
 pub struct Job {
     /// The spec's canonical cache key ([`ScenarioSpec::key`]).
     pub key: String,
     /// The spec to run.
     pub spec: ScenarioSpec,
-    /// The strict band the job dispatches in.
-    pub priority: Priority,
-    /// The client identity the job's lane is keyed by.
-    pub client: String,
-}
-
-/// One priority band: a FIFO lane per client identity, in first-enqueue
-/// order, with a round-robin cursor over the lanes. A lane is removed
-/// the moment it empties (re-enqueueing appends a fresh lane at the
-/// end), so the cursor only ever points at dispatchable work.
-#[derive(Debug, Default)]
-struct Band {
-    lanes: Vec<(String, Vec<Job>)>,
-    cursor: usize,
-}
-
-impl Band {
-    fn push(&mut self, job: Job) {
-        if let Some((_, lane)) = self.lanes.iter_mut().find(|(c, _)| *c == job.client) {
-            lane.push(job);
-        } else {
-            self.lanes.push((job.client.clone(), vec![job]));
-        }
-    }
-
-    /// The job the next [`Band::pop`] dispatches.
-    fn peek(&self) -> Option<&Job> {
-        self.lanes.get(self.cursor).map(|(_, lane)| &lane[0])
-    }
-
-    fn pop(&mut self) -> Option<Job> {
-        if self.lanes.is_empty() {
-            return None;
-        }
-        let job = self.lanes[self.cursor].1.remove(0);
-        if self.lanes[self.cursor].1.is_empty() {
-            // The next lane slides into the cursor slot, which is
-            // exactly the round-robin successor.
-            self.lanes.remove(self.cursor);
-            if self.cursor >= self.lanes.len() {
-                self.cursor = 0;
-            }
-        } else {
-            self.cursor = (self.cursor + 1) % self.lanes.len();
-        }
-        Some(job)
-    }
-
-    fn len(&self) -> usize {
-        self.lanes.iter().map(|(_, lane)| lane.len()).sum()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Job> {
-        self.lanes.iter().flat_map(|(_, lane)| lane.iter())
-    }
-}
-
-/// The two-level fair queue of pending runs, deduplicated by cache key:
-/// strict priority bands over per-client round-robin lanes. Dispatch
-/// order is a pure function of the admission sequence.
-#[derive(Debug, Default)]
-pub struct JobQueue {
-    bands: [Band; 3],
-}
-
-impl JobQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueue a job unless one with the same key is already pending
-    /// (in any band). Returns `true` if the job was newly queued,
-    /// `false` if it coalesced onto the pending one.
-    pub fn push(&mut self, job: Job) -> bool {
-        if self.contains(&job.key) {
-            return false;
-        }
-        self.bands[job.priority.band()].push(job);
-        true
-    }
-
-    /// The job fairness dispatches next: the round-robin cursor lane of
-    /// the highest non-empty band.
-    pub fn peek(&self) -> Option<&Job> {
-        self.bands.iter().find_map(Band::peek)
-    }
-
-    /// Dequeue the job fairness dispatches next.
-    pub fn pop(&mut self) -> Option<Job> {
-        self.bands.iter_mut().find_map(Band::pop)
-    }
-
-    /// Whether a job with this key is pending in any band.
-    pub fn contains(&self, key: &str) -> bool {
-        self.bands
-            .iter()
-            .any(|b| b.iter().any(|job| job.key == key))
-    }
-
-    /// Whether any pending job, anywhere, shares `spec`'s execution
-    /// geometry ([`ScenarioSpec::batch_class`]). Used to detect that a
-    /// batch sweep stopped for fairness rather than for lack of
-    /// compatible work.
-    pub fn has_compatible(&self, spec: &ScenarioSpec) -> bool {
-        let class = spec.batch_class();
-        self.bands
-            .iter()
-            .any(|b| b.iter().any(|job| job.spec.batch_class() == class))
-    }
-
-    /// The momentary depth of each band, dispatch order (high, normal,
-    /// low).
-    pub fn depths(&self) -> [usize; 3] {
-        [
-            self.bands[0].len(),
-            self.bands[1].len(),
-            self.bands[2].len(),
-        ]
-    }
-
-    /// The total queue depth.
-    pub fn len(&self) -> usize {
-        self.bands.iter().map(Band::len).sum()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bands.iter().all(|b| b.lanes.is_empty())
-    }
+    /// When the job was admitted: the start of its queue wait. Private
+    /// to the crate, so every `Job` comes from [`super::Scheduler::submit`].
+    pub(crate) admitted: Instant,
 }
 
 /// Monotonic per-process serve counters.
@@ -223,11 +34,9 @@ impl JobQueue {
 /// admitted request is classified exactly once. The physics totals
 /// (`atoms_steps`, `exchanges`, `early_exchanges`) accumulate over the
 /// runs *this process* executed — cache hits add nothing, which is the
-/// point of the cache. `batches` counts engine-pool passes: with
-/// geometry-compatible misses batched, `batches ≤ runs`.
-/// `fairness_preemptions` counts batch sweeps cut short by fairness:
-/// compatible work was pending but the next fair dispatch belonged to
-/// a different client or band.
+/// point of the cache. `batches` counts engine-pool passes: `--drain`
+/// batches consecutive geometry-compatible runs, so `batches ≤ runs`;
+/// in `serve` every run is its own pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Specs submitted (valid requests admitted, however disposed).
@@ -238,11 +47,8 @@ pub struct ServeStats {
     pub batches: u64,
     /// Requests answered from the on-disk cache.
     pub cache_hits: u64,
-    /// Requests that coalesced onto an already-queued or in-flight job.
+    /// Requests that coalesced onto an in-flight job.
     pub coalesced: u64,
-    /// Batch sweeps stopped by fairness while compatible work was still
-    /// pending.
-    pub fairness_preemptions: u64,
     /// Σ atoms × steps over executed runs.
     pub atoms_steps: u64,
     /// Ghost exchanges performed by executed sharded runs.
@@ -254,17 +60,12 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// The counter fields of the `GET /stats` document, plus the
-    /// momentary queue depths (total and per band) and the cache's size
-    /// and eviction counters. The HTTP layer merges these with the
+    /// momentary count of admitted runs not yet settled and the cache's
+    /// size and eviction counters. The HTTP layer merges these with the
     /// observability fields
     /// ([`super::ServeMetrics::observability_fields`]) and renders the
     /// union through [`Value::sorted_obj`].
-    pub fn fields(
-        &self,
-        pending: usize,
-        depths: [usize; 3],
-        cache: CacheUsage,
-    ) -> Vec<(String, Value)> {
+    pub fn fields(&self, pending: usize, cache: CacheUsage) -> Vec<(String, Value)> {
         vec![
             ("atoms_steps".into(), Value::Uint(self.atoms_steps)),
             ("batches".into(), Value::Uint(self.batches)),
@@ -275,23 +76,10 @@ impl ServeStats {
             ("early_exchanges".into(), Value::Uint(self.early_exchanges)),
             ("evictions".into(), Value::Uint(cache.evictions)),
             ("exchanges".into(), Value::Uint(self.exchanges)),
-            (
-                "fairness_preemptions".into(),
-                Value::Uint(self.fairness_preemptions),
-            ),
             ("pending".into(), Value::Uint(pending as u64)),
-            ("pending_high".into(), Value::Uint(depths[0] as u64)),
-            ("pending_low".into(), Value::Uint(depths[2] as u64)),
-            ("pending_normal".into(), Value::Uint(depths[1] as u64)),
             ("requests".into(), Value::Uint(self.requests)),
             ("runs".into(), Value::Uint(self.runs)),
         ]
-    }
-
-    /// Render the counter fields alone as the legacy `GET /stats`
-    /// document: compact JSON, keys in a fixed alphabetical order.
-    pub fn to_json(&self, pending: usize, depths: [usize; 3], cache: CacheUsage) -> String {
-        Value::sorted_obj(self.fields(pending, depths, cache)).render()
     }
 
     /// The one-line drain summary (the last line of `--drain` output,
@@ -313,102 +101,6 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{GhostPeriod, Scenario};
-    use md_core::materials::Species;
-
-    fn job(spec: ScenarioSpec, priority: Priority, client: &str) -> Job {
-        Job {
-            key: spec.key(),
-            spec,
-            priority,
-            client: client.to_string(),
-        }
-    }
-
-    fn specs(n: u64) -> Vec<ScenarioSpec> {
-        let base = Scenario::slab(Species::Ta, 3, 3, 1).to_spec();
-        (0..n)
-            .map(|i| {
-                let mut s = base;
-                s.seed = base.seed + i;
-                s
-            })
-            .collect()
-    }
-
-    #[test]
-    fn queue_coalesces_by_key_and_one_client_stays_fifo() {
-        let s = specs(2);
-        let mut q = JobQueue::new();
-        assert!(q.push(job(s[0], Priority::Normal, "a")));
-        assert!(
-            !q.push(job(s[0], Priority::High, "b")),
-            "same key coalesces even across bands and clients"
-        );
-        assert!(q.push(job(s[1], Priority::Normal, "a")));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek().unwrap().key, s[0].key());
-        assert_eq!(q.pop().unwrap().key, s[0].key());
-        assert_eq!(q.pop().unwrap().key, s[1].key());
-        assert!(q.is_empty());
-        // Once popped, the key can queue again.
-        assert!(q.push(job(s[0], Priority::Normal, "a")));
-    }
-
-    #[test]
-    fn within_a_band_clients_round_robin() {
-        // Greedy client g enqueues 3 jobs before polite client p's one
-        // job arrives; fairness interleaves p after g's first dispatch.
-        let s = specs(4);
-        let mut q = JobQueue::new();
-        q.push(job(s[0], Priority::Normal, "g"));
-        q.push(job(s[1], Priority::Normal, "g"));
-        q.push(job(s[2], Priority::Normal, "g"));
-        q.push(job(s[3], Priority::Normal, "p"));
-        let order: Vec<String> = std::iter::from_fn(|| q.pop().map(|j| j.client)).collect();
-        assert_eq!(order, ["g", "p", "g", "g"]);
-    }
-
-    #[test]
-    fn bands_are_strict_priority() {
-        let s = specs(3);
-        let mut q = JobQueue::new();
-        q.push(job(s[0], Priority::Low, "a"));
-        q.push(job(s[1], Priority::High, "a"));
-        q.push(job(s[2], Priority::Normal, "b"));
-        assert_eq!(q.depths(), [1, 1, 1]);
-        assert_eq!(q.pop().unwrap().key, s[1].key(), "high first");
-        assert_eq!(q.pop().unwrap().key, s[2].key(), "then normal");
-        assert_eq!(q.pop().unwrap().key, s[0].key(), "low last");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn has_compatible_sees_every_band_and_lane() {
-        let base = Scenario::slab(Species::Ta, 3, 3, 1).to_spec();
-        let mut sharded = base;
-        sharded.seed += 1;
-        sharded.shards = 2;
-        sharded.ghost_period = GhostPeriod::Every(4);
-        let mut q = JobQueue::new();
-        q.push(job(sharded, Priority::Low, "a"));
-        assert!(q.has_compatible(&sharded));
-        assert!(!q.has_compatible(&base), "different execution geometry");
-    }
-
-    #[test]
-    fn priority_parses_case_insensitively_and_rejects_junk() {
-        assert_eq!(Priority::parse("high"), Some(Priority::High));
-        assert_eq!(Priority::parse(" Normal "), Some(Priority::Normal));
-        assert_eq!(Priority::parse("LOW"), Some(Priority::Low));
-        assert_eq!(Priority::parse("urgent"), None);
-        assert_eq!(Priority::parse(""), None);
-        assert_eq!(Priority::default(), Priority::Normal);
-        assert_eq!(
-            Priority::ALL.map(Priority::label),
-            ["high", "normal", "low"]
-        );
-    }
 
     #[test]
     fn stats_render_stable_json_and_summary() {
@@ -418,7 +110,6 @@ mod tests {
             batches: 1,
             cache_hits: 0,
             coalesced: 1,
-            fairness_preemptions: 2,
             atoms_steps: 14400,
             exchanges: 5,
             early_exchanges: 1,
@@ -429,12 +120,11 @@ mod tests {
             evictions: 4,
         };
         assert_eq!(
-            stats.to_json(1, [0, 1, 0], cache),
+            Value::sorted_obj(stats.fields(1, cache)).render(),
             "{\"atoms_steps\":14400,\"batches\":1,\"cache_bytes\":512,\
              \"cache_entries\":2,\"cache_hits\":0,\"coalesced\":1,\
              \"early_exchanges\":1,\"evictions\":4,\"exchanges\":5,\
-             \"fairness_preemptions\":2,\"pending\":1,\"pending_high\":0,\
-             \"pending_low\":0,\"pending_normal\":1,\"requests\":3,\"runs\":2}"
+             \"pending\":1,\"requests\":3,\"runs\":2}"
         );
         assert_eq!(
             stats.summary_line(),

@@ -1,25 +1,21 @@
-//! Admission, batching, and execution: the single scheduling loop
-//! behind both the HTTP workers and `--drain`.
+//! Admission and execution: the one scheduler behind both the HTTP
+//! workers and `--drain`.
 //!
-//! The discipline is one loop with three outcomes per request — disk
-//! hit, coalesce onto a pending or in-flight job, or enqueue — followed
-//! by batched execution: a runner claims the job fairness dispatches
-//! next *plus*, in fairness order, the immediately following queued
-//! jobs with the same execution geometry
-//! ([`crate::scenario::ScenarioSpec::batch_class`]) and runs the whole
-//! batch in one worker-pool pass, landing each job's artifacts in the
-//! cache atomically. Dispatch order is the two-level discipline of
-//! [`JobQueue`](super::queue::JobQueue): strict [`Priority`] bands,
-//! round-robin across client identities within a band — a pure
-//! function of the admission sequence, so drain output and traces stay
-//! byte-deterministic at any thread count. There is no second
-//! coordination layer: the concurrent HTTP workers share one
-//! `Mutex<Scheduler>`, and the per-job [`JobCell`]s are how coalesced
-//! waiters (and workers whose queued job was swept into another
-//! worker's batch) receive the finished artifacts without polling.
-//! `--drain` admits a whole request file first, so duplicate
-//! submissions visibly coalesce into one physics run and batches form
-//! across the file.
+//! Each request has one of three outcomes: a disk hit, a coalesce onto
+//! the in-flight run for its key, or a new run. A new run belongs to
+//! whoever submitted it, who executes it outside the lock and settles
+//! it with [`Scheduler::complete`] (or [`Scheduler::abandon`] if the
+//! run panicked). In `serve`, that is the worker that admitted the
+//! request: it streams its own report while the physics runs, so no
+//! queue ever forms. `--drain` admits a whole request file first, so
+//! duplicate submissions visibly coalesce into one physics run, then
+//! runs the admitted jobs in admission order, consecutive jobs of one
+//! execution geometry ([`crate::scenario::ScenarioSpec::batch_class`])
+//! sharing one worker-pool pass ([`Scheduler::run_all`]). The order is
+//! a pure function of the request file, so drain output and traces stay
+//! byte-deterministic at any thread count. The concurrent HTTP workers
+//! share one `Mutex<Scheduler>`; the per-job [`JobCell`]s deliver the
+//! finished artifacts to coalesced waiters without polling.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -32,35 +28,35 @@ use std::time::Instant;
 use md_core::engine::RunCounters;
 use rayon::prelude::*;
 
-use super::cache::{CacheUsage, CachedResult, ResultCache};
+use super::cache::{CachedResult, ResultCache};
 use super::metrics::{ServeMetrics, TraceEvent};
-use super::queue::{Job, JobQueue, Priority, ServeStats};
+use super::queue::{Job, ServeStats};
 use crate::json::Value;
 use crate::scenario::{Engine, Scenario, ScenarioSpec, Workload};
 use crate::traj;
 
-/// How a submitted request was disposed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How a submitted request was disposed, carrying what its caller
+/// needs to answer it.
+#[derive(Debug)]
 pub enum Disposition {
-    /// Answered from the on-disk cache; no work queued.
-    CacheHit,
-    /// Newly queued; the next drain (or the submitting worker itself)
-    /// runs it.
-    Queued,
-    /// A job for the same key was already pending or in flight; this
-    /// request rides along on its result.
-    Coalesced,
+    /// Answered from the on-disk cache: the report bytes, read by the
+    /// same cache access that decided the hit.
+    CacheHit(String),
+    /// A new run, owned by the submitter, who must settle it with
+    /// [`Scheduler::complete`] or [`Scheduler::abandon`].
+    Run(Job),
+    /// A run for the same key is in flight; this request rides along on
+    /// its result, delivered through the run's cell.
+    Coalesced(Arc<JobCell>),
 }
 
 impl Disposition {
     /// The stable one-word label drain output prints per request.
-    /// `Queued` reads as `run` because drain output is written after
-    /// the queue has drained — by then the job has executed.
-    pub fn label(self) -> &'static str {
+    pub fn label(&self) -> &'static str {
         match self {
-            Self::CacheHit => "hit",
-            Self::Queued => "run",
-            Self::Coalesced => "coalesced",
+            Self::CacheHit(_) => "hit",
+            Self::Run(_) => "run",
+            Self::Coalesced(_) => "coalesced",
         }
     }
 }
@@ -92,7 +88,7 @@ pub struct RunArtifacts {
     pub shard_nanos: Option<Vec<(u64, u64)>>,
 }
 
-/// The completion cell of one queued-or-running job: coalesced waiters
+/// The completion cell of one admitted job: coalesced waiters
 /// park here until the runner fills it. One cell per unique in-flight
 /// key; the scheduler hands out clones of the `Arc` under its lock, so
 /// a waiter can block on the cell without holding the scheduler. The
@@ -146,9 +142,9 @@ fn workload_kind(w: Workload) -> &'static str {
 /// The spec's `threads` field (when nonzero) overrides the worker-pool
 /// width of the parallel regions opened by the run's own thread, for
 /// exactly this run (restored afterwards, also if the run panics);
-/// concurrent runs on other threads keep their own widths. A run swept
-/// into a multi-job batch ([`run_batch`]) executes inside one of the
-/// pass's chunks, where parallel regions run inline. Either way this is
+/// concurrent runs on other threads keep their own widths. A run in a
+/// multi-job `--drain` batch executes inside one of the pass's chunks,
+/// where parallel regions run inline. Either way this is
 /// execution geometry only; the physics and therefore the report bytes
 /// are identical at any value. The thermostat (if any) is applied on a
 /// fixed 10-step cadence aligned with the trajectory frame schedule, so
@@ -178,7 +174,7 @@ fn execute(spec: &ScenarioSpec, progress: &mut dyn FnMut(&str)) -> RunArtifacts 
     let steps = sc.steps.max(1);
     let mut engine = sc
         .build_engine()
-        .expect("specs are validated before they are queued");
+        .expect("specs are validated before they are admitted");
     let atoms = engine.n_atoms();
     let symbol = sc.species.symbol();
     let mut xyz: Option<Vec<u8>> = sc.xyz.then(Vec::new);
@@ -289,61 +285,39 @@ fn execute(spec: &ScenarioSpec, progress: &mut dyn FnMut(&str)) -> RunArtifacts 
     }
 }
 
-/// Run a claimed batch in one worker-pool pass. `stream` receives the
-/// report fragments of the job at `stream_idx` (the runner's own
-/// request — no longer necessarily the batch front, since a fair claim
-/// can put another client's job first) as they are finalized; the
-/// other batch members run without progress reporting. A `stream_idx`
-/// out of range streams nothing. The returned artifacts are
-/// index-aligned with `batch`. Every run is bit-deterministic in
-/// isolation, so neither the pool's chunk assignment nor the pass
-/// width can influence a single byte of any result.
-pub fn run_batch(
-    batch: &[Job],
-    stream_idx: usize,
-    stream: &(dyn Fn(&str) + Sync),
-) -> Vec<RunArtifacts> {
-    if batch.len() == 1 {
-        return vec![if stream_idx == 0 {
-            run_spec_streaming(&batch[0].spec, &mut |frag| stream(frag))
-        } else {
-            run_spec(&batch[0].spec)
-        }];
+/// Run a batch in one worker-pool pass, without progress reporting.
+/// The returned artifacts are index-aligned with `batch`. Every run is
+/// bit-deterministic in isolation, so neither the pool's chunk
+/// assignment nor the pass width can influence a single byte of any
+/// result. A batch of one runs on the calling thread, keeping the
+/// pool's full width for its own parallel regions.
+fn run_batch(batch: &[Job]) -> Vec<RunArtifacts> {
+    if let [job] = batch {
+        return vec![run_spec(&job.spec)];
     }
     (0..batch.len())
         .into_par_iter()
-        .map(|i| {
-            if i == stream_idx {
-                run_spec_streaming(&batch[i].spec, &mut |frag| stream(frag))
-            } else {
-                run_spec(&batch[i].spec)
-            }
-        })
+        .map(|i| run_spec(&batch[i].spec))
         .collect()
 }
 
-/// The scheduler: one cache, one queue, one set of counters, and the
-/// completion cells of every pending or in-flight job. Concurrent
-/// servers share it behind a `Mutex`; all methods are cheap except the
-/// run itself, which callers perform *outside* the lock between
-/// [`Scheduler::claim_batch`] and [`Scheduler::complete`].
+/// The scheduler: one cache, one set of counters, and the completion
+/// cells of every admitted run not yet settled. Concurrent servers
+/// share it behind a `Mutex`; all methods are cheap except the runs,
+/// which callers perform *outside* the lock between
+/// [`Scheduler::submit`] and [`Scheduler::complete`].
 #[derive(Debug)]
 pub struct Scheduler {
     cache: ResultCache,
-    queue: JobQueue,
-    /// One cell per unique key that is queued or running. A key present
-    /// here but absent from the queue has been claimed by a runner.
+    /// One cell per admitted run not yet settled, by key.
     cells: HashMap<String, Arc<JobCell>>,
     stats: ServeStats,
     /// Shared observability state: histograms, trace, shard timings.
     metrics: Arc<ServeMetrics>,
-    /// When each still-queued key was admitted — the queue-wait clock,
-    /// drained into [`ServeMetrics::queue_wait`] at batch claim.
-    enqueued: HashMap<String, Instant>,
 }
 
 impl Scheduler {
-    /// A scheduler over an opened cache, with an empty queue and
+    /// A scheduler over an opened cache, with no runs in flight and
     /// fresh (trace-less) metrics.
     pub fn new(cache: ResultCache) -> Self {
         Self::with_metrics(cache, Arc::new(ServeMetrics::new(0)))
@@ -354,130 +328,61 @@ impl Scheduler {
     pub fn with_metrics(cache: ResultCache, metrics: Arc<ServeMetrics>) -> Self {
         Self {
             cache,
-            queue: JobQueue::new(),
             cells: HashMap::new(),
             stats: ServeStats::default(),
             metrics,
-            enqueued: HashMap::new(),
         }
     }
 
-    /// The shared observability state.
-    pub fn metrics(&self) -> &Arc<ServeMetrics> {
-        &self.metrics
-    }
-
     /// Admit one spec. Returns its cache key and how the request was
-    /// disposed; `Queued` and `Coalesced` requests are answered after a
-    /// runner executes the job (via [`Scheduler::claim_batch`] /
-    /// [`Scheduler::complete`] or a [`Scheduler::drain`]). Emits
-    /// exactly one admission-outcome trace event (`hit`, `coalesced`,
-    /// or `admitted`) per call.
+    /// disposed: a hit carries its report, a coalesced request the cell
+    /// of the in-flight run it rides on, and a new run the [`Job`] the
+    /// caller must execute and settle. Emits exactly one
+    /// admission-outcome trace event (`hit`, `coalesced`, or
+    /// `admitted`) per call.
     pub fn submit(&mut self, spec: ScenarioSpec) -> (String, Disposition) {
-        let (key, disposition, _) = self.submit_from(spec, Priority::Normal, "drain");
-        (key, disposition)
-    }
-
-    /// [`Scheduler::submit`] with an explicit priority band and client
-    /// identity — the HTTP layer's entry point. The band and client
-    /// only steer *dispatch order*; the key, the artifacts, and the
-    /// disposition logic are identical for every identity. A hit also
-    /// hands back its report, read by the same one-file cache access
-    /// that decided the hit.
-    pub fn submit_from(
-        &mut self,
-        spec: ScenarioSpec,
-        priority: Priority,
-        client: &str,
-    ) -> (String, Disposition, Option<String>) {
         self.stats.requests += 1;
         let key = spec.key();
         if let Some(report) = self.cache.report(&key) {
             self.stats.cache_hits += 1;
             self.metrics.trace(TraceEvent::new("hit").key(&key));
-            return (key, Disposition::CacheHit, Some(report));
+            return (key, Disposition::CacheHit(report));
         }
-        if self.cells.contains_key(&key) {
+        if let Some(cell) = self.cells.get(&key) {
             self.stats.coalesced += 1;
             self.metrics.trace(TraceEvent::new("coalesced").key(&key));
-            return (key, Disposition::Coalesced, None);
+            return (key, Disposition::Coalesced(Arc::clone(cell)));
         }
-        self.queue.push(Job {
+        self.cells.insert(key.clone(), JobCell::new());
+        self.metrics.trace(TraceEvent::new("admitted").key(&key));
+        let job = Job {
             key: key.clone(),
             spec,
-            priority,
-            client: client.to_string(),
-        });
-        self.cells.insert(key.clone(), JobCell::new());
-        self.enqueued.insert(key.clone(), Instant::now());
-        self.metrics.trace(
-            TraceEvent::new("admitted")
-                .key(&key)
-                .tag("band", priority.label()),
-        );
-        (key, Disposition::Queued, None)
-    }
-
-    /// The completion cell of a queued or in-flight key, if any. Cells
-    /// are removed by [`Scheduler::complete`], so a caller that checks
-    /// under the same lock acquisition as its [`Scheduler::submit`] is
-    /// guaranteed a cell for a `Coalesced` disposition.
-    pub fn watch(&self, key: &str) -> Option<Arc<JobCell>> {
-        self.cells.get(key).cloned()
-    }
-
-    /// Claim a batch of queued jobs for execution: the job fairness
-    /// dispatches next, plus — still in fairness order — every
-    /// immediately following job that shares its execution geometry
-    /// ([`crate::scenario::ScenarioSpec::batch_class`]). The sweep
-    /// stops at the first job fairness would dispatch with a different
-    /// geometry; when geometry-compatible work is still pending behind
-    /// that point (work the old FIFO sweep would have grabbed), the
-    /// stop is counted as a fairness preemption. The claimed jobs
-    /// leave the queue but keep their cells — they are in flight until
-    /// [`Scheduler::complete`]. Returns an empty batch when the queue
-    /// is empty (a worker whose own job was swept into another
-    /// worker's batch waits on its cell instead).
-    pub fn claim_batch(&mut self) -> Vec<Job> {
-        let Some(first) = self.queue.pop() else {
-            return Vec::new();
+            admitted: Instant::now(),
         };
-        let class = first.spec.batch_class();
-        let mut batch = vec![first];
-        while self
-            .queue
-            .peek()
-            .is_some_and(|job| job.spec.batch_class() == class)
-        {
-            batch.push(self.queue.pop().expect("peeked job is present"));
-        }
-        if self.queue.has_compatible(&batch[0].spec) {
-            self.stats.fairness_preemptions += 1;
+        (key, Disposition::Run(job))
+    }
+
+    /// Start one worker-pool pass over admitted jobs: count the batch
+    /// and, per job, record its queue wait and trace `batched`.
+    pub(crate) fn start_batch(&mut self, batch: &[Job]) {
+        self.stats.batches += 1;
+        for job in batch {
+            let wait = job.admitted.elapsed();
+            self.metrics.queue_wait.record_duration(wait);
             self.metrics.trace(
-                TraceEvent::new("preempted")
-                    .key(&batch[0].key)
-                    .with("batch", batch.len() as u64),
+                TraceEvent::new("batched")
+                    .key(&job.key)
+                    .with("batch", batch.len() as u64)
+                    .with(
+                        "wait_us",
+                        u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
+                    ),
             );
         }
-        self.stats.batches += 1;
-        for job in &batch {
-            let mut event = TraceEvent::new("batched")
-                .key(&job.key)
-                .with("batch", batch.len() as u64);
-            if let Some(admitted) = self.enqueued.remove(&job.key) {
-                let wait = admitted.elapsed();
-                self.metrics.queue_wait.record_duration(wait);
-                event = event.with(
-                    "wait_us",
-                    u64::try_from(wait.as_micros()).unwrap_or(u64::MAX),
-                );
-            }
-            self.metrics.trace(event);
-        }
-        batch
     }
 
-    /// Land one claimed job's artifacts: insert into the cache, fold
+    /// Land one admitted job's artifacts: insert into the cache, fold
     /// the run into the counters, and fill the job's cell so every
     /// waiter wakes with the finished artifacts.
     pub fn complete(
@@ -523,7 +428,7 @@ impl Scheduler {
         inserted.map(|()| artifacts)
     }
 
-    /// Abandon a claimed job whose run did not produce artifacts (its
+    /// Abandon an admitted job whose run did not produce artifacts (its
     /// runner panicked): remove the cell and settle it empty, so every
     /// waiter wakes with a failure instead of blocking forever. The key
     /// becomes submittable again.
@@ -533,26 +438,23 @@ impl Scheduler {
         }
     }
 
-    /// Run the queue to empty, batch by batch: each unique queued spec
-    /// executes exactly once, geometry-compatible specs share a pool
-    /// pass, and every job's artifacts land in the cache atomically.
-    /// Returns the number of physics runs executed.
-    pub fn drain(&mut self) -> io::Result<usize> {
-        let mut ran = 0;
-        loop {
-            let batch = self.claim_batch();
-            if batch.is_empty() {
-                return Ok(ran);
-            }
+    /// Run admitted jobs to completion in admission order, consecutive
+    /// jobs of one execution geometry
+    /// ([`crate::scenario::ScenarioSpec::batch_class`]) sharing one
+    /// worker-pool pass; every job's artifacts land in the cache
+    /// atomically. Returns the number of physics runs executed.
+    pub fn run_all(&mut self, jobs: &[Job]) -> io::Result<usize> {
+        for batch in jobs.chunk_by(|a, b| a.spec.batch_class() == b.spec.batch_class()) {
+            self.start_batch(batch);
             let pass = Instant::now();
-            let artifacts = run_batch(&batch, batch.len(), &|_| {});
+            let artifacts = run_batch(batch);
             self.metrics.batch_pass.record_duration(pass.elapsed());
             self.metrics.batch_occupancy.record(batch.len() as u64);
             for (job, a) in batch.iter().zip(artifacts) {
                 self.complete(job, a)?;
             }
-            ran += batch.len();
         }
+        Ok(jobs.len())
     }
 
     /// Read a key's cached result (report + counters). Counts as an
@@ -582,9 +484,7 @@ impl Scheduler {
     /// per-acceptor counters, shard timings, trace counters), keys in
     /// one fixed alphabetical order.
     pub fn stats_json(&self) -> String {
-        let mut fields =
-            self.stats
-                .fields(self.queue.len(), self.queue.depths(), self.cache.usage());
+        let mut fields = self.stats.fields(self.pending(), self.cache.usage());
         fields.extend(self.metrics.observability_fields());
         Value::sorted_obj(fields).render()
     }
@@ -592,22 +492,14 @@ impl Scheduler {
     /// The `GET /stats/prom` document: Prometheus text exposition over
     /// the same counters and histograms.
     pub fn prometheus_text(&self) -> String {
-        self.metrics.prometheus(
-            &self.stats,
-            self.queue.len(),
-            self.queue.depths(),
-            self.cache.usage(),
-        )
+        self.metrics
+            .prometheus(&self.stats, self.pending(), self.cache.usage())
     }
 
-    /// The momentary queue depth (claimed-but-running jobs excluded).
+    /// The admitted runs not yet settled: running, or in `--drain`
+    /// waiting for their batch.
     pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The momentary per-band queue depths (high, normal, low).
-    pub fn band_depths(&self) -> [usize; 3] {
-        self.queue.depths()
+        self.cells.len()
     }
 
     /// Persist the cache's recency order if read hits have reordered
@@ -616,21 +508,11 @@ impl Scheduler {
     pub fn flush_cache(&mut self) -> io::Result<()> {
         self.cache.flush()
     }
-
-    /// The cache's momentary size and eviction counters.
-    pub fn cache_usage(&self) -> CacheUsage {
-        self.cache.usage()
-    }
-
-    /// The underlying cache.
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
-    }
 }
 
 /// `wafer-md serve --drain FILE`: admit every request in `requests`
 /// (one spec JSON per line; blank lines and `#` comments skipped), run
-/// the queue to empty, and write the deterministic drain report to
+/// the admitted jobs, and write the deterministic drain report to
 /// `out` — one `<key> <hit|run|coalesced>` line per request in file
 /// order, then the [`ServeStats::summary_line`]. The caller supplies
 /// the opened (and possibly budget-bounded) cache; because the
@@ -658,6 +540,7 @@ pub fn drain_file_with(
     let text = fs::read_to_string(requests)?;
     let mut scheduler = Scheduler::with_metrics(cache, metrics);
     let mut admitted = Vec::new();
+    let mut jobs = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -666,14 +549,18 @@ pub fn drain_file_with(
         let spec = ScenarioSpec::from_json(line).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", i + 1))
         })?;
-        admitted.push(scheduler.submit(spec));
+        let (key, disposition) = scheduler.submit(spec);
+        admitted.push((key, disposition.label()));
+        if let Disposition::Run(job) = disposition {
+            jobs.push(job);
+        }
     }
-    scheduler.drain()?;
+    scheduler.run_all(&jobs)?;
     // Drain end is a clean shutdown: persist any recency reordering
     // from warm-cache hits so a re-drain replays the same order.
     scheduler.flush_cache()?;
-    for (key, disposition) in &admitted {
-        writeln!(out, "{key} {}", disposition.label())?;
+    for (key, label) in &admitted {
+        writeln!(out, "{key} {label}")?;
     }
     writeln!(out, "{}", scheduler.stats().summary_line())
 }

@@ -16,7 +16,7 @@ use wafer_md::json::Value;
 use wafer_md::md::materials::Species;
 use wafer_md::md::vec3::V3d;
 use wafer_md::scenario::{GhostPeriod, ScenarioSpec, Thermostat, Workload};
-use wafer_md::serve::{Disposition, Priority, ResultCache, Scheduler, Server};
+use wafer_md::serve::{run_spec, Disposition, ResultCache, Scheduler, Server};
 
 #[test]
 fn same_spec_twice_is_one_run_with_byte_identical_responses() {
@@ -25,16 +25,21 @@ fn same_spec_twice_is_one_run_with_byte_identical_responses() {
     let spec = fixture_spec();
 
     let (key, first) = scheduler.submit(spec);
-    assert_eq!(first, Disposition::Queued);
+    let Disposition::Run(job) = first else {
+        panic!("a cold cache misses: {first:?}")
+    };
     assert_eq!(scheduler.pending(), 1);
-    assert_eq!(scheduler.drain().unwrap(), 1, "exactly one physics run");
+    assert_eq!(
+        scheduler.run_all(&[job]).unwrap(),
+        1,
+        "exactly one physics run"
+    );
     let fresh = scheduler.result(&key).expect("drained result is cached");
 
     let (key_again, second) = scheduler.submit(spec);
     assert_eq!(key_again, key);
-    assert_eq!(
-        second,
-        Disposition::CacheHit,
+    assert!(
+        matches!(second, Disposition::CacheHit(_)),
         "the hit counter proves no rerun"
     );
     let cached = scheduler.result(&key).unwrap();
@@ -54,106 +59,40 @@ fn pre_drain_duplicates_coalesce_onto_one_job() {
     let root = scratch("coalesce");
     let mut scheduler = Scheduler::new(ResultCache::open(&root).unwrap());
     let spec = fixture_spec();
-    assert_eq!(scheduler.submit(spec).1, Disposition::Queued);
-    assert_eq!(scheduler.submit(spec).1, Disposition::Coalesced);
+    let Disposition::Run(job) = scheduler.submit(spec).1 else {
+        panic!("a cold cache misses")
+    };
+    assert!(matches!(
+        scheduler.submit(spec).1,
+        Disposition::Coalesced(_)
+    ));
     assert_eq!(scheduler.pending(), 1, "one job despite two requests");
-    assert_eq!(scheduler.drain().unwrap(), 1);
+    assert_eq!(scheduler.run_all(&[job]).unwrap(), 1);
     assert_eq!(scheduler.stats().coalesced, 1);
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// The fixture spec with a distinct seed.
-fn seeded(seed: u64) -> ScenarioSpec {
-    let mut s = fixture_spec();
-    s.seed = seed;
-    s
-}
-
-/// A geometry variant of [`seeded`]: sharded, so its
-/// [`ScenarioSpec::batch_class`] differs from the plain fixture's and
-/// a fairness stop at the class boundary is observable.
-fn seeded_sharded(seed: u64) -> ScenarioSpec {
-    let mut s = seeded(seed);
-    s.shards = 2;
-    s.ghost_period = GhostPeriod::Every(4);
-    s
-}
-
 #[test]
-fn claims_interleave_clients_fairly_and_count_preemptions() {
-    let root = scratch("fair-claims");
+fn pending_counts_an_admitted_run_until_it_settles() {
+    let root = scratch("pending");
     let mut scheduler = Scheduler::new(ResultCache::open(&root).unwrap());
-
-    // A greedy client floods four geometry-compatible jobs; a polite
-    // client's (geometry-incompatible) job lands mid-flood.
-    let g: Vec<ScenarioSpec> = (0..4).map(|i| seeded_sharded(500 + i)).collect();
-    let p = seeded(900);
-    for s in &g[..2] {
-        let (_, d, _) = scheduler.submit_from(*s, Priority::Normal, "greedy");
-        assert_eq!(d, Disposition::Queued);
-    }
-    let (_, d, _) = scheduler.submit_from(p, Priority::Normal, "polite");
-    assert_eq!(d, Disposition::Queued);
-    for s in &g[2..] {
-        scheduler.submit_from(*s, Priority::Normal, "greedy");
-    }
-
-    let keys = |batch: &[wafer_md::serve::Job]| -> Vec<String> {
-        batch.iter().map(|j| j.key.clone()).collect()
+    let (_, disposition) = scheduler.submit(fixture_spec());
+    let Disposition::Run(job) = disposition else {
+        panic!("a cold cache misses: {disposition:?}")
     };
-    // Claim 1: the greedy front alone. Round-robin puts the polite job
-    // next, and its different geometry stops the sweep even though two
-    // more greedy-compatible jobs sit behind it — a fairness
-    // preemption the old admission-order sweep would not have made.
-    let batch = scheduler.claim_batch();
-    assert_eq!(keys(&batch), vec![g[0].key()]);
-    assert_eq!(scheduler.stats().fairness_preemptions, 1);
-    // Claim 2: the polite job dispatches second, not fifth.
-    let batch = scheduler.claim_batch();
-    assert_eq!(keys(&batch), vec![p.key()]);
-    assert_eq!(
-        scheduler.stats().fairness_preemptions,
-        1,
-        "no compatible work was passed over"
-    );
-    // Claim 3: the greedy backlog batches back together, admission
-    // order preserved within the lane.
-    let batch = scheduler.claim_batch();
-    assert_eq!(keys(&batch), vec![g[1].key(), g[2].key(), g[3].key()]);
-    assert!(scheduler.claim_batch().is_empty());
-    assert_eq!(scheduler.stats().fairness_preemptions, 1);
-    fs::remove_dir_all(&root).unwrap();
-}
-
-#[test]
-fn priority_bands_dispatch_strictly_high_to_low() {
-    let root = scratch("priority-claims");
-
-    // Same geometry in every band: one claim sweeps all three jobs,
-    // but in band order — not admission order.
-    let mut scheduler = Scheduler::new(ResultCache::open(&root).unwrap());
-    let (lo, no, hi) = (seeded(1), seeded(2), seeded(3));
-    scheduler.submit_from(lo, Priority::Low, "c");
-    scheduler.submit_from(no, Priority::Normal, "c");
-    scheduler.submit_from(hi, Priority::High, "c");
-    let batch = scheduler.claim_batch();
-    let got: Vec<String> = batch.iter().map(|j| j.key.clone()).collect();
-    assert_eq!(got, vec![hi.key(), no.key(), lo.key()]);
-    assert_eq!(scheduler.stats().fairness_preemptions, 0);
-
-    // A geometry-incompatible high-priority job dispatches first, on
-    // its own; the compatible normal/low pair batches behind it.
-    let mut scheduler = Scheduler::new(ResultCache::open(&root).unwrap());
-    let hi = seeded_sharded(4);
-    scheduler.submit_from(lo, Priority::Low, "c");
-    scheduler.submit_from(no, Priority::Normal, "c");
-    scheduler.submit_from(hi, Priority::High, "c");
-    let batch = scheduler.claim_batch();
-    let got: Vec<String> = batch.iter().map(|j| j.key.clone()).collect();
-    assert_eq!(got, vec![hi.key()]);
-    let batch = scheduler.claim_batch();
-    let got: Vec<String> = batch.iter().map(|j| j.key.clone()).collect();
-    assert_eq!(got, vec![no.key(), lo.key()]);
+    // The submitter owns the job and runs it outside the scheduler;
+    // until it completes, the run is admitted but not settled.
+    let artifacts = run_spec(&job.spec);
+    assert_eq!(scheduler.pending(), 1, "a running job is still pending");
+    let stats = Value::parse(&scheduler.stats_json()).unwrap();
+    assert_eq!(stats.get("pending").and_then(Value::as_u64), Some(1));
+    assert!(scheduler
+        .prometheus_text()
+        .contains("wafer_md_pending_jobs 1\n"));
+    scheduler.complete(&job, artifacts).unwrap();
+    assert_eq!(scheduler.pending(), 0);
+    let stats = Value::parse(&scheduler.stats_json()).unwrap();
+    assert_eq!(stats.get("pending").and_then(Value::as_u64), Some(0));
     fs::remove_dir_all(&root).unwrap();
 }
 
@@ -166,9 +105,17 @@ fn distinct_seeds_get_distinct_keys_and_cache_entries() {
     b.seed = a.seed + 1;
     assert_ne!(a.key(), b.key());
 
-    let (key_a, _) = scheduler.submit(a);
-    let (key_b, _) = scheduler.submit(b);
-    assert_eq!(scheduler.drain().unwrap(), 2, "two seeds, two runs");
+    let (key_a, Disposition::Run(job_a)) = scheduler.submit(a) else {
+        panic!("a cold cache misses")
+    };
+    let (key_b, Disposition::Run(job_b)) = scheduler.submit(b) else {
+        panic!("a cold cache misses")
+    };
+    assert_eq!(
+        scheduler.run_all(&[job_a, job_b]).unwrap(),
+        2,
+        "two seeds, two runs"
+    );
     let ra = scheduler.result(&key_a).unwrap();
     let rb = scheduler.result(&key_b).unwrap();
     assert_ne!(

@@ -14,7 +14,7 @@ mod common;
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{fixture_spec, header, http, scratch, KeepAliveClient};
@@ -552,7 +552,7 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
     let root = scratch("fairness");
     let cache = ResultCache::open_bounded(&root, CacheBudget::UNBOUNDED).unwrap();
     // One worker per connection: three greedy sockets plus the polite
-    // one all admit concurrently, so the queue actually interleaves.
+    // one all admit concurrently, and each worker runs its own misses.
     let config = ServeConfig {
         threads: 4,
         ..ServeConfig::default()
@@ -561,11 +561,9 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve().unwrap());
 
-    // Greedy: three persistent connections under ONE client identity,
-    // flooding distinct sharded specs (a different batch class than
-    // the polite client's plain specs, so fairness stops are
-    // observable). Polite: one connection, a handful of distinct
-    // specs, each round trip timed.
+    // Greedy: three persistent connections flooding distinct sharded
+    // specs. Polite: one connection, a handful of distinct plain specs,
+    // each round trip timed.
     let base = {
         let mut s = fixture_spec();
         s.steps = 10;
@@ -582,12 +580,8 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
                     spec.seed = 5000 + conn * 100 + req;
                     spec.shards = 2;
                     spec.ghost_period = GhostPeriod::Every(4);
-                    let (status, headers, body) = client.exchange(
-                        "POST",
-                        "/run",
-                        &[("X-Wafer-Client", "greedy")],
-                        &spec.to_json(),
-                    );
+                    let (status, headers, body) =
+                        client.exchange("POST", "/run", &[], &spec.to_json());
                     assert_eq!(status, 200, "greedy conn {conn} req {req}");
                     assert_eq!(header(&headers, "x-wafer-cache"), "miss");
                     assert!(body.starts_with("== wafer-md serve:"), "{body}");
@@ -601,12 +595,7 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
                 let mut spec = *base;
                 spec.seed = 9000 + req;
                 let started = Instant::now();
-                let (status, _, body) = client.exchange(
-                    "POST",
-                    "/run",
-                    &[("X-Wafer-Client", "polite")],
-                    &spec.to_json(),
-                );
+                let (status, _, body) = client.exchange("POST", "/run", &[], &spec.to_json());
                 let elapsed = started.elapsed();
                 assert_eq!(status, 200, "polite req {req}");
                 assert!(body.starts_with("== wafer-md serve:"), "{body}");
@@ -619,9 +608,9 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
     });
 
     // Starvation would park the polite client behind the entire
-    // greedy backlog; round-robin dispatch bounds its wait to roughly
-    // one batch. The bound is deliberately generous — it catches
-    // unbounded queue-behind-the-flood behavior, not jitter.
+    // greedy backlog; a worker that runs the miss it admitted bounds
+    // its wait to its own run. The bound is deliberately generous — it
+    // catches unbounded queue-behind-the-flood behavior, not jitter.
     let worst = *worst.lock().unwrap();
     assert!(
         worst < Duration::from_secs(30),
@@ -631,20 +620,9 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
     let v = settled_stats(addr, 3 * 8 + 5);
     assert_eq!(v.get("runs").and_then(Value::as_u64), Some(3 * 8 + 5));
     assert_eq!(v.get("pending").and_then(Value::as_u64), Some(0));
-    assert_eq!(v.get("pending_high").and_then(Value::as_u64), Some(0));
-    assert_eq!(v.get("pending_normal").and_then(Value::as_u64), Some(0));
-    assert_eq!(v.get("pending_low").and_then(Value::as_u64), Some(0));
-    // The preemption counter is surfaced; whether any fired depends on
-    // the interleaving, so only its presence is asserted.
-    assert!(
-        v.get("fairness_preemptions")
-            .and_then(Value::as_u64)
-            .is_some(),
-        "{v:?}"
-    );
 
-    // Priority-header handling rides the same server: a valid band is
-    // accepted, an invalid one is a 400 with the typed hint.
+    // The retired scheduling headers are unknown headers now, ignored
+    // like any other.
     let mut spec = base;
     spec.seed = 9999;
     let mut client = KeepAliveClient::connect(addr);
@@ -654,16 +632,78 @@ fn a_polite_client_is_not_starved_by_a_greedy_flood() {
         &[("X-Wafer-Priority", "HIGH")],
         &spec.to_json(),
     );
-    assert_eq!(status, 200, "priority bands parse case-insensitively");
-    let (status, _, body) = client.exchange(
-        "POST",
-        "/run",
-        &[("X-Wafer-Priority", "urgent")],
-        &spec.to_json(),
+    assert_eq!(status, 200, "an X-Wafer-Priority header is ignored");
+
+    let (status, _, _) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join().expect("acceptor pool drains cleanly");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn each_worker_streams_the_miss_it_admitted() {
+    let root = scratch("own-miss");
+    let cache = ResultCache::open_bounded(&root, CacheBudget::UNBOUNDED).unwrap();
+    let threads = serve_threads();
+    let config = ServeConfig {
+        threads,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::bind_with("127.0.0.1:0", cache, config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve().unwrap());
+
+    // Distinct misses of one batch class (only the seed differs), one
+    // per worker per round; each round is released together so the
+    // runs overlap. Answers are checked after the clients finish, so
+    // one wrong answer cannot strand the others at the barrier.
+    const ROUNDS: u64 = 8;
+    let spec = |client: u64, round: u64| {
+        let mut s = fixture_spec();
+        s.steps = 10;
+        s.seed = 7000 + client * ROUNDS + round;
+        s
+    };
+    let barrier = Barrier::new(threads);
+    let answers = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for client in 0..threads as u64 {
+            let (barrier, spec, answers) = (&barrier, &spec, &answers);
+            scope.spawn(move || {
+                let mut conn = KeepAliveClient::connect(addr);
+                for round in 0..ROUNDS {
+                    let spec = spec(client, round);
+                    barrier.wait();
+                    let answer = conn.exchange("POST", "/run", &[], &spec.to_json());
+                    answers.lock().unwrap().push((spec, answer));
+                }
+            });
+        }
+    });
+    for (spec, (status, headers, body)) in answers.into_inner().unwrap() {
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, "x-wafer-cache"), "miss");
+        assert_eq!(
+            header(&headers, "transfer-encoding"),
+            "chunked",
+            "a miss is streamed by the worker that admitted it"
+        );
+        assert_eq!(
+            body,
+            run_spec(&spec).report,
+            "streamed bytes equal run_spec's report"
+        );
+    }
+
+    let misses = threads as u64 * ROUNDS;
+    let v = settled_stats(addr, misses);
+    let runs = v.get("runs").and_then(Value::as_u64).unwrap();
+    assert_eq!(runs, misses, "one run per distinct miss");
+    assert_eq!(
+        v.get("batches").and_then(Value::as_u64),
+        Some(runs),
+        "every serve run is its own batch"
     );
-    assert_eq!(status, 400);
-    assert!(body.contains("invalid X-Wafer-Priority"), "{body}");
-    assert!(client.at_eof(), "a malformed request closes the connection");
 
     let (status, _, _) = http(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
