@@ -582,6 +582,15 @@ impl ServeMetrics {
         ]
     }
 
+    /// The `GET /stats` body: the [`ServeStats`] counters, the pending
+    /// count and the cache usage, merged with the observability fields,
+    /// keys in one fixed alphabetical order.
+    pub fn stats_json(&self, stats: &ServeStats, pending: usize, cache: CacheUsage) -> String {
+        let mut fields = stats.fields(pending, cache);
+        fields.extend(self.observability_fields());
+        Value::sorted_obj(fields).render()
+    }
+
     /// The `GET /stats/prom` body: Prometheus text exposition format
     /// (version 0.0.4) over the same counters and histograms as
     /// `GET /stats`.
@@ -964,6 +973,49 @@ mod tests {
         assert_eq!(
             shards.get("max_imbalance_milli").and_then(Value::as_u64),
             Some(1500)
+        );
+    }
+
+    /// Pins every byte of the `/stats` and `/stats/prom` bodies for one
+    /// fixed state: counters, cache usage and pending set; two
+    /// acceptors with different counts; a µs and a count histogram;
+    /// one sharded run; one reused connection and one pipelined request.
+    #[test]
+    fn stats_bodies_match_the_characterization_goldens() {
+        let metrics = ServeMetrics::new(2);
+        for acceptor in [0, 0, 0, 1] {
+            metrics.connection(acceptor);
+        }
+        for us in [0, 37, 5_000, 70_000_000] {
+            metrics.service.record(us);
+        }
+        metrics.batch_occupancy.record(1);
+        metrics.batch_occupancy.record(3);
+        metrics.record_shard_phases(&[(3_000_000, 250_000), (1_000_000, 500_000)]);
+        metrics.reused_connection();
+        metrics.pipelined_request();
+        let stats = ServeStats {
+            requests: 9,
+            runs: 4,
+            batches: 3,
+            cache_hits: 3,
+            coalesced: 1,
+            atoms_steps: 14_400,
+            exchanges: 5,
+            early_exchanges: 1,
+        };
+        let cache = CacheUsage {
+            bytes: 4096,
+            entries: 4,
+            evictions: 2,
+        };
+        assert_eq!(
+            format!("{}\n", metrics.stats_json(&stats, 1, cache)),
+            include_str!("../../tests/golden/serve-stats.json")
+        );
+        assert_eq!(
+            metrics.prometheus(&stats, 1, cache),
+            include_str!("../../tests/golden/serve-stats-prom.txt")
         );
     }
 

@@ -484,9 +484,8 @@ impl Scheduler {
     /// per-acceptor counters, shard timings, trace counters), keys in
     /// one fixed alphabetical order.
     pub fn stats_json(&self) -> String {
-        let mut fields = self.stats.fields(self.pending(), self.cache.usage());
-        fields.extend(self.metrics.observability_fields());
-        Value::sorted_obj(fields).render()
+        self.metrics
+            .stats_json(&self.stats, self.pending(), self.cache.usage())
     }
 
     /// The `GET /stats/prom` document: Prometheus text exposition over
