@@ -27,9 +27,11 @@
 //!   share: the five histograms (request service time, queue wait,
 //!   engine run, batch pass, batch occupancy), per-acceptor connection
 //!   counters, per-shard integrate/exchange totals with a running
-//!   imbalance maximum, and the optional tracer. It renders the
-//!   `/stats` extension fields and the whole `/stats/prom` Prometheus
-//!   text exposition.
+//!   imbalance maximum, and the optional tracer.
+//! - [`METRICS`] — the one declared table of serve metrics. Each entry
+//!   names a metric's `/stats` path, Prometheus series, help text and
+//!   how its value is read; the `/stats` JSON and the `/stats/prom`
+//!   Prometheus text are both rendered by walking it.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -212,6 +214,232 @@ impl PromUnit {
         }
     }
 }
+
+/// One reading of the serve state, taken under the scheduler lock:
+/// what every [`Read`] in [`METRICS`] reads from.
+struct Reading<'a> {
+    stats: &'a ServeStats,
+    pending: usize,
+    cache: CacheUsage,
+    metrics: &'a ServeMetrics,
+}
+
+/// How a metric's value is read, which fixes how both endpoints render
+/// it.
+#[derive(Clone, Copy)]
+enum Read {
+    /// A monotonic count: a number in `/stats`, a Prometheus `counter`.
+    Counter(fn(&Reading) -> u64),
+    /// A momentary level: a number in `/stats`, a Prometheus `gauge`.
+    Gauge(fn(&Reading) -> u64),
+    /// A nanosecond total: whole microseconds in `/stats` (a `*_us`
+    /// field), seconds in a Prometheus `*_seconds_total` counter.
+    Nanos(fn(&Reading) -> u64),
+    /// The per-acceptor connection counts: an array in `/stats`, one
+    /// `acceptor="i"` sample each of a Prometheus counter.
+    PerAcceptor,
+    /// A histogram: [`HistogramSnapshot::to_value`] in `/stats`, a
+    /// native Prometheus histogram in its [`PromUnit`].
+    Histogram(fn(&ServeMetrics) -> &Histogram, PromUnit),
+}
+
+impl Read {
+    fn prom_type(self) -> &'static str {
+        match self {
+            Self::Gauge(_) => "gauge",
+            Self::Histogram(..) => "histogram",
+            Self::Counter(_) | Self::Nanos(_) | Self::PerAcceptor => "counter",
+        }
+    }
+}
+
+/// One serve metric, declared once for `GET /stats` and
+/// `GET /stats/prom`.
+struct Metric {
+    /// The `/stats` path: a top-level key, or `group.key` for a key of
+    /// a nested object.
+    path: &'static str,
+    /// The Prometheus series name.
+    prom: &'static str,
+    /// The Prometheus help text.
+    help: &'static str,
+    read: Read,
+}
+
+impl Metric {
+    /// The metric's `/stats` value.
+    fn json(&self, reading: &Reading) -> Value {
+        match self.read {
+            Read::Counter(read) | Read::Gauge(read) => Value::Uint(read(reading)),
+            Read::Nanos(read) => Value::Uint(read(reading) / 1_000),
+            Read::PerAcceptor => Value::Arr(
+                reading
+                    .metrics
+                    .acceptors
+                    .iter()
+                    .map(|c| Value::Uint(c.load(Ordering::Relaxed)))
+                    .collect(),
+            ),
+            Read::Histogram(histogram, _) => histogram(reading.metrics).snapshot().to_value(),
+        }
+    }
+}
+
+/// Every serve metric, in `/stats/prom` order. `docs/OPERATIONS.md`
+/// documents each one in a table that a unit test checks against this
+/// one.
+static METRICS: [Metric; 25] = [
+    Metric {
+        path: "requests",
+        prom: "wafer_md_requests_total",
+        help: "Specs admitted, however disposed.",
+        read: Read::Counter(|r| r.stats.requests),
+    },
+    Metric {
+        path: "runs",
+        prom: "wafer_md_runs_total",
+        help: "Physics runs executed.",
+        read: Read::Counter(|r| r.stats.runs),
+    },
+    Metric {
+        path: "batches",
+        prom: "wafer_md_batches_total",
+        help: "Engine-pool batch passes.",
+        read: Read::Counter(|r| r.stats.batches),
+    },
+    Metric {
+        path: "cache_hits",
+        prom: "wafer_md_cache_hits_total",
+        help: "Requests answered from the on-disk cache.",
+        read: Read::Counter(|r| r.stats.cache_hits),
+    },
+    Metric {
+        path: "coalesced",
+        prom: "wafer_md_coalesced_total",
+        help: "Requests coalesced onto a pending or in-flight job.",
+        read: Read::Counter(|r| r.stats.coalesced),
+    },
+    Metric {
+        path: "atoms_steps",
+        prom: "wafer_md_atoms_steps_total",
+        help: "Sum of atoms times steps over executed runs.",
+        read: Read::Counter(|r| r.stats.atoms_steps),
+    },
+    Metric {
+        path: "exchanges",
+        prom: "wafer_md_exchanges_total",
+        help: "Ghost exchanges performed by executed sharded runs.",
+        read: Read::Counter(|r| r.stats.exchanges),
+    },
+    Metric {
+        path: "early_exchanges",
+        prom: "wafer_md_early_exchanges_total",
+        help: "Exchanges forced early by the skin-validity check.",
+        read: Read::Counter(|r| r.stats.early_exchanges),
+    },
+    Metric {
+        path: "connections.reused",
+        prom: "wafer_md_reused_connections_total",
+        help: "Connections that served a second request over keep-alive.",
+        read: Read::Counter(|r| r.metrics.reused_connections.load(Ordering::Relaxed)),
+    },
+    Metric {
+        path: "connections.pipelined",
+        prom: "wafer_md_pipelined_requests_total",
+        help: "Requests already buffered when their turn came.",
+        read: Read::Counter(|r| r.metrics.pipelined_requests.load(Ordering::Relaxed)),
+    },
+    Metric {
+        path: "evictions",
+        prom: "wafer_md_cache_evictions_total",
+        help: "Cache entries evicted by this process.",
+        read: Read::Counter(|r| r.cache.evictions),
+    },
+    Metric {
+        path: "pending",
+        prom: "wafer_md_pending_jobs",
+        help: "Admitted runs not yet settled.",
+        read: Read::Gauge(|r| r.pending as u64),
+    },
+    Metric {
+        path: "cache_bytes",
+        prom: "wafer_md_cache_bytes",
+        help: "Payload bytes currently cached.",
+        read: Read::Gauge(|r| r.cache.bytes),
+    },
+    Metric {
+        path: "cache_entries",
+        prom: "wafer_md_cache_entries",
+        help: "Entries currently cached.",
+        read: Read::Gauge(|r| r.cache.entries),
+    },
+    Metric {
+        path: "shards.max_imbalance_milli",
+        prom: "wafer_md_shard_imbalance_milli",
+        help: "Worst observed shard imbalance (max integrate time over mean, thousandths).",
+        read: Read::Gauge(|r| r.metrics.shard_imbalance_milli.load(Ordering::Relaxed)),
+    },
+    Metric {
+        path: "shards.integrate_us",
+        prom: "wafer_md_shard_integrate_seconds_total",
+        help: "Integrate-phase wall time across sharded runs.",
+        read: Read::Nanos(|r| r.metrics.shard_integrate_nanos.load(Ordering::Relaxed)),
+    },
+    Metric {
+        path: "shards.exchange_us",
+        prom: "wafer_md_shard_exchange_seconds_total",
+        help: "Ghost-exchange wall time across sharded runs.",
+        read: Read::Nanos(|r| r.metrics.shard_exchange_nanos.load(Ordering::Relaxed)),
+    },
+    Metric {
+        path: "acceptors",
+        prom: "wafer_md_acceptor_connections_total",
+        help: "Connections handled per acceptor thread.",
+        read: Read::PerAcceptor,
+    },
+    Metric {
+        path: "trace.emitted",
+        prom: "wafer_md_trace_events_total",
+        help: "Trace events written to the event channel.",
+        read: Read::Counter(|r| r.metrics.trace_counts().0),
+    },
+    Metric {
+        path: "trace.dropped",
+        prom: "wafer_md_trace_dropped_total",
+        help: "Trace events dropped because the channel was full.",
+        read: Read::Counter(|r| r.metrics.trace_counts().1),
+    },
+    Metric {
+        path: "latency.service",
+        prom: "wafer_md_request_service_seconds",
+        help: "POST /run service time.",
+        read: Read::Histogram(|m| &m.service, PromUnit::Micros),
+    },
+    Metric {
+        path: "latency.queue_wait",
+        prom: "wafer_md_queue_wait_seconds",
+        help: "Queue wait from admission to batch claim.",
+        read: Read::Histogram(|m| &m.queue_wait, PromUnit::Micros),
+    },
+    Metric {
+        path: "latency.engine_run",
+        prom: "wafer_md_engine_run_seconds",
+        help: "Engine wall time per physics run.",
+        read: Read::Histogram(|m| &m.engine_run, PromUnit::Micros),
+    },
+    Metric {
+        path: "batch.pass",
+        prom: "wafer_md_batch_pass_seconds",
+        help: "Wall time per engine-pool batch pass.",
+        read: Read::Histogram(|m| &m.batch_pass, PromUnit::Micros),
+    },
+    Metric {
+        path: "batch.occupancy",
+        prom: "wafer_md_batch_occupancy_jobs",
+        help: "Jobs per engine-pool batch pass.",
+        read: Read::Histogram(|m| &m.batch_occupancy, PromUnit::Count),
+    },
+];
 
 /// One structured trace event, built with the fluent constructors and
 /// rendered to a single compact-JSON line by [`ServeMetrics::trace`].
@@ -464,14 +692,6 @@ impl ServeMetrics {
         }
     }
 
-    /// Per-acceptor connection counts, in acceptor order.
-    pub fn acceptor_counts(&self) -> Vec<u64> {
-        self.acceptors
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Count one keep-alive reuse: a connection beginning its second
     /// (or later) request.
     pub fn reused_connection(&self) {
@@ -482,14 +702,6 @@ impl ServeMetrics {
     /// when the previous response finished.
     pub fn pipelined_request(&self) {
         self.pipelined_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(reused connections, pipelined requests)` so far.
-    pub fn connection_reuse_counts(&self) -> (u64, u64) {
-        (
-            self.reused_connections.load(Ordering::Relaxed),
-            self.pipelined_requests.load(Ordering::Relaxed),
-        )
     }
 
     /// Fold one sharded run's per-shard `(integrate, exchange)`
@@ -514,263 +726,67 @@ impl ServeMetrics {
         }
     }
 
-    /// The observability fields merged into the `GET /stats` document
-    /// (alongside [`ServeStats`]' counters): `acceptors`, `batch`,
-    /// `connections`, `latency`, `shards`, and `trace`.
-    pub fn observability_fields(&self) -> Vec<(String, Value)> {
-        let (emitted, dropped) = self.trace_counts();
-        let (reused, pipelined) = self.connection_reuse_counts();
-        vec![
-            (
-                "acceptors".into(),
-                Value::Arr(
-                    self.acceptor_counts()
-                        .into_iter()
-                        .map(Value::Uint)
-                        .collect(),
-                ),
-            ),
-            (
-                "batch".into(),
-                Value::Obj(vec![
-                    (
-                        "occupancy".into(),
-                        self.batch_occupancy.snapshot().to_value(),
-                    ),
-                    ("pass".into(), self.batch_pass.snapshot().to_value()),
-                ]),
-            ),
-            (
-                "connections".into(),
-                Value::Obj(vec![
-                    ("pipelined".into(), Value::Uint(pipelined)),
-                    ("reused".into(), Value::Uint(reused)),
-                ]),
-            ),
-            (
-                "latency".into(),
-                Value::Obj(vec![
-                    ("engine_run".into(), self.engine_run.snapshot().to_value()),
-                    ("queue_wait".into(), self.queue_wait.snapshot().to_value()),
-                    ("service".into(), self.service.snapshot().to_value()),
-                ]),
-            ),
-            (
-                "shards".into(),
-                Value::Obj(vec![
-                    (
-                        "exchange_us".into(),
-                        Value::Uint(self.shard_exchange_nanos.load(Ordering::Relaxed) / 1_000),
-                    ),
-                    (
-                        "integrate_us".into(),
-                        Value::Uint(self.shard_integrate_nanos.load(Ordering::Relaxed) / 1_000),
-                    ),
-                    (
-                        "max_imbalance_milli".into(),
-                        Value::Uint(self.shard_imbalance_milli.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "trace".into(),
-                Value::Obj(vec![
-                    ("dropped".into(), Value::Uint(dropped)),
-                    ("emitted".into(), Value::Uint(emitted)),
-                ]),
-            ),
-        ]
-    }
-
-    /// The `GET /stats` body: the [`ServeStats`] counters, the pending
-    /// count and the cache usage, merged with the observability fields,
-    /// keys in one fixed alphabetical order.
+    /// The `GET /stats` body: every metric of `METRICS` at its path,
+    /// keys in alphabetical order at every level.
     pub fn stats_json(&self, stats: &ServeStats, pending: usize, cache: CacheUsage) -> String {
-        let mut fields = stats.fields(pending, cache);
-        fields.extend(self.observability_fields());
+        let reading = Reading {
+            stats,
+            pending,
+            cache,
+            metrics: self,
+        };
+        let mut fields = Vec::new();
+        let mut groups: Vec<(&str, Vec<(String, Value)>)> = Vec::new();
+        for metric in &METRICS {
+            let value = metric.json(&reading);
+            match metric.path.split_once('.') {
+                None => fields.push((metric.path.to_string(), value)),
+                Some((group, key)) => match groups.iter_mut().find(|(g, _)| *g == group) {
+                    Some((_, members)) => members.push((key.to_string(), value)),
+                    None => groups.push((group, vec![(key.to_string(), value)])),
+                },
+            }
+        }
+        fields.extend(
+            groups
+                .into_iter()
+                .map(|(group, members)| (group.to_string(), Value::sorted_obj(members))),
+        );
         Value::sorted_obj(fields).render()
     }
 
-    /// The `GET /stats/prom` body: Prometheus text exposition format
-    /// (version 0.0.4) over the same counters and histograms as
-    /// `GET /stats`.
+    /// The `GET /stats/prom` body: every metric of `METRICS` in
+    /// Prometheus text exposition format (version 0.0.4), in table
+    /// order.
     pub fn prometheus(&self, stats: &ServeStats, pending: usize, cache: CacheUsage) -> String {
-        let (reused, pipelined) = self.connection_reuse_counts();
+        let reading = Reading {
+            stats,
+            pending,
+            cache,
+            metrics: self,
+        };
         let mut out = String::new();
-        let scalars: [(&str, &str, &str, u64); 15] = [
-            (
-                "wafer_md_requests_total",
-                "counter",
-                "Specs admitted, however disposed.",
-                stats.requests,
-            ),
-            (
-                "wafer_md_runs_total",
-                "counter",
-                "Physics runs executed.",
-                stats.runs,
-            ),
-            (
-                "wafer_md_batches_total",
-                "counter",
-                "Engine-pool batch passes.",
-                stats.batches,
-            ),
-            (
-                "wafer_md_cache_hits_total",
-                "counter",
-                "Requests answered from the on-disk cache.",
-                stats.cache_hits,
-            ),
-            (
-                "wafer_md_coalesced_total",
-                "counter",
-                "Requests coalesced onto a pending or in-flight job.",
-                stats.coalesced,
-            ),
-            (
-                "wafer_md_atoms_steps_total",
-                "counter",
-                "Sum of atoms times steps over executed runs.",
-                stats.atoms_steps,
-            ),
-            (
-                "wafer_md_exchanges_total",
-                "counter",
-                "Ghost exchanges performed by executed sharded runs.",
-                stats.exchanges,
-            ),
-            (
-                "wafer_md_early_exchanges_total",
-                "counter",
-                "Exchanges forced early by the skin-validity check.",
-                stats.early_exchanges,
-            ),
-            (
-                "wafer_md_reused_connections_total",
-                "counter",
-                "Connections that served a second request over keep-alive.",
-                reused,
-            ),
-            (
-                "wafer_md_pipelined_requests_total",
-                "counter",
-                "Requests already buffered when their turn came.",
-                pipelined,
-            ),
-            (
-                "wafer_md_cache_evictions_total",
-                "counter",
-                "Cache entries evicted by this process.",
-                cache.evictions,
-            ),
-            (
-                "wafer_md_pending_jobs",
-                "gauge",
-                "Admitted runs not yet settled.",
-                pending as u64,
-            ),
-            (
-                "wafer_md_cache_bytes",
-                "gauge",
-                "Payload bytes currently cached.",
-                cache.bytes,
-            ),
-            (
-                "wafer_md_cache_entries",
-                "gauge",
-                "Entries currently cached.",
-                cache.entries,
-            ),
-            (
-                "wafer_md_shard_imbalance_milli",
-                "gauge",
-                "Worst observed shard imbalance (max integrate time over mean, thousandths).",
-                self.shard_imbalance_milli.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, kind, help, value) in scalars {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, help, nanos) in [
-            (
-                "wafer_md_shard_integrate_seconds_total",
-                "Integrate-phase wall time across sharded runs.",
-                self.shard_integrate_nanos.load(Ordering::Relaxed),
-            ),
-            (
-                "wafer_md_shard_exchange_seconds_total",
-                "Ghost-exchange wall time across sharded runs.",
-                self.shard_exchange_nanos.load(Ordering::Relaxed),
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", nanos as f64 / 1e9);
-        }
-        let _ = writeln!(
-            out,
-            "# HELP wafer_md_acceptor_connections_total Connections handled per acceptor thread."
-        );
-        let _ = writeln!(out, "# TYPE wafer_md_acceptor_connections_total counter");
-        for (i, count) in self.acceptor_counts().into_iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "wafer_md_acceptor_connections_total{{acceptor=\"{i}\"}} {count}"
-            );
-        }
-        let (emitted, dropped) = self.trace_counts();
-        for (name, help, value) in [
-            (
-                "wafer_md_trace_events_total",
-                "Trace events written to the event channel.",
-                emitted,
-            ),
-            (
-                "wafer_md_trace_dropped_total",
-                "Trace events dropped because the channel was full.",
-                dropped,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, help, hist, unit) in [
-            (
-                "wafer_md_request_service_seconds",
-                "POST /run service time.",
-                &self.service,
-                PromUnit::Micros,
-            ),
-            (
-                "wafer_md_queue_wait_seconds",
-                "Queue wait from admission to batch claim.",
-                &self.queue_wait,
-                PromUnit::Micros,
-            ),
-            (
-                "wafer_md_engine_run_seconds",
-                "Engine wall time per physics run.",
-                &self.engine_run,
-                PromUnit::Micros,
-            ),
-            (
-                "wafer_md_batch_pass_seconds",
-                "Wall time per engine-pool batch pass.",
-                &self.batch_pass,
-                PromUnit::Micros,
-            ),
-            (
-                "wafer_md_batch_occupancy_jobs",
-                "Jobs per engine-pool batch pass.",
-                &self.batch_occupancy,
-                PromUnit::Count,
-            ),
-        ] {
-            render_prom_histogram(&mut out, name, help, &hist.snapshot(), unit);
+        for metric in &METRICS {
+            let name = metric.prom;
+            let _ = writeln!(out, "# HELP {name} {}", metric.help);
+            let _ = writeln!(out, "# TYPE {name} {}", metric.read.prom_type());
+            match metric.read {
+                Read::Counter(read) | Read::Gauge(read) => {
+                    let _ = writeln!(out, "{name} {}", read(&reading));
+                }
+                Read::Nanos(read) => {
+                    let _ = writeln!(out, "{name} {}", read(&reading) as f64 / 1e9);
+                }
+                Read::PerAcceptor => {
+                    for (i, count) in self.acceptors.iter().enumerate() {
+                        let count = count.load(Ordering::Relaxed);
+                        let _ = writeln!(out, "{name}{{acceptor=\"{i}\"}} {count}");
+                    }
+                }
+                Read::Histogram(histogram, unit) => {
+                    render_prom_histogram(&mut out, name, &histogram(self).snapshot(), unit);
+                }
+            }
         }
         out
     }
@@ -797,20 +813,17 @@ impl ServeMetrics {
     }
 }
 
-/// Render one histogram in Prometheus text exposition format:
-/// cumulative `_bucket{le="..."}` lines ending at `+Inf`, then `_sum`
+/// Render one histogram's samples in Prometheus text exposition
+/// format: cumulative `_bucket{le="..."}` lines ending at `+Inf`, then `_sum`
 /// and `_count`. The `+Inf` count is the bucket total (not the `count`
 /// atomic), so one exposition is always internally consistent even if
 /// writers are active mid-snapshot.
 fn render_prom_histogram(
     out: &mut String,
     name: &str,
-    help: &str,
     snapshot: &HistogramSnapshot,
     unit: PromUnit,
 ) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
     let mut cumulative = 0u64;
     for (i, &c) in snapshot.buckets.iter().enumerate() {
         cumulative += c;
@@ -836,6 +849,13 @@ use std::fmt::Write as _;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `/stats` document of `metrics` with zeroed scheduler
+    /// counters.
+    fn stats_doc(metrics: &ServeMetrics) -> Value {
+        let json = metrics.stats_json(&ServeStats::default(), 0, CacheUsage::default());
+        Value::parse(&json).unwrap()
+    }
 
     #[test]
     fn bucket_index_is_log2_with_zero_and_overflow_buckets() {
@@ -933,15 +953,14 @@ mod tests {
                 .and_then(Value::as_str),
             Some("admitted")
         );
-        let fields = metrics.observability_fields();
-        let trace = fields
-            .iter()
-            .find(|(k, _)| k == "trace")
-            .map(|(_, v)| v)
-            .unwrap();
+        let doc = stats_doc(&metrics);
+        let trace = doc.get("trace").unwrap();
         assert_eq!(trace.get("emitted").and_then(Value::as_u64), Some(2));
         assert_eq!(trace.get("dropped").and_then(Value::as_u64), Some(0));
-        assert_eq!(metrics.acceptor_counts(), vec![0, 1]);
+        assert_eq!(
+            doc.get("acceptors").map(Value::render).as_deref(),
+            Some("[0,1]")
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -949,12 +968,8 @@ mod tests {
     fn shard_phase_fold_tracks_totals_and_imbalance() {
         let metrics = ServeMetrics::new(0);
         metrics.record_shard_phases(&[(3_000, 1_000), (1_000, 1_000)]);
-        let fields = metrics.observability_fields();
-        let shards = fields
-            .iter()
-            .find(|(k, _)| k == "shards")
-            .map(|(_, v)| v)
-            .unwrap();
+        let doc = stats_doc(&metrics);
+        let shards = doc.get("shards").unwrap();
         assert_eq!(shards.get("integrate_us").and_then(Value::as_u64), Some(4));
         assert_eq!(shards.get("exchange_us").and_then(Value::as_u64), Some(2));
         // max 3000 over mean 2000 → 1500 thousandths.
@@ -964,12 +979,8 @@ mod tests {
         );
         // A more balanced later run does not lower the maximum.
         metrics.record_shard_phases(&[(1_000, 0), (1_000, 0)]);
-        let fields = metrics.observability_fields();
-        let shards = fields
-            .iter()
-            .find(|(k, _)| k == "shards")
-            .map(|(_, v)| v)
-            .unwrap();
+        let doc = stats_doc(&metrics);
+        let shards = doc.get("shards").unwrap();
         assert_eq!(
             shards.get("max_imbalance_milli").and_then(Value::as_u64),
             Some(1500)

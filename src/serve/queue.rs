@@ -11,10 +11,7 @@
 
 use std::time::Instant;
 
-use crate::json::Value;
 use crate::scenario::ScenarioSpec;
-
-use super::cache::CacheUsage;
 
 /// One admitted run: a spec, addressed by its canonical key.
 #[derive(Clone, Debug)]
@@ -59,29 +56,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// The counter fields of the `GET /stats` document, plus the
-    /// momentary count of admitted runs not yet settled and the cache's
-    /// size and eviction counters. The HTTP layer merges these with the
-    /// observability fields
-    /// ([`super::ServeMetrics::observability_fields`]) and renders the
-    /// union through [`Value::sorted_obj`].
-    pub fn fields(&self, pending: usize, cache: CacheUsage) -> Vec<(String, Value)> {
-        vec![
-            ("atoms_steps".into(), Value::Uint(self.atoms_steps)),
-            ("batches".into(), Value::Uint(self.batches)),
-            ("cache_bytes".into(), Value::Uint(cache.bytes)),
-            ("cache_entries".into(), Value::Uint(cache.entries)),
-            ("cache_hits".into(), Value::Uint(self.cache_hits)),
-            ("coalesced".into(), Value::Uint(self.coalesced)),
-            ("early_exchanges".into(), Value::Uint(self.early_exchanges)),
-            ("evictions".into(), Value::Uint(cache.evictions)),
-            ("exchanges".into(), Value::Uint(self.exchanges)),
-            ("pending".into(), Value::Uint(pending as u64)),
-            ("requests".into(), Value::Uint(self.requests)),
-            ("runs".into(), Value::Uint(self.runs)),
-        ]
-    }
-
     /// The one-line drain summary (the last line of `--drain` output,
     /// golden-tested in CI).
     pub fn summary_line(&self) -> String {
@@ -101,6 +75,8 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
+    use crate::serve::{CacheUsage, ServeMetrics};
 
     #[test]
     fn stats_render_stable_json_and_summary() {
@@ -119,13 +95,24 @@ mod tests {
             entries: 2,
             evictions: 4,
         };
-        assert_eq!(
-            Value::sorted_obj(stats.fields(1, cache)).render(),
-            "{\"atoms_steps\":14400,\"batches\":1,\"cache_bytes\":512,\
-             \"cache_entries\":2,\"cache_hits\":0,\"coalesced\":1,\
-             \"early_exchanges\":1,\"evictions\":4,\"exchanges\":5,\
-             \"pending\":1,\"requests\":3,\"runs\":2}"
-        );
+        let json = ServeMetrics::new(0).stats_json(&stats, 1, cache);
+        let doc = Value::parse(&json).unwrap();
+        for (key, want) in [
+            ("atoms_steps", 14400),
+            ("batches", 1),
+            ("cache_bytes", 512),
+            ("cache_entries", 2),
+            ("cache_hits", 0),
+            ("coalesced", 1),
+            ("early_exchanges", 1),
+            ("evictions", 4),
+            ("exchanges", 5),
+            ("pending", 1),
+            ("requests", 3),
+            ("runs", 2),
+        ] {
+            assert_eq!(doc.get(key).and_then(Value::as_u64), Some(want), "{key}");
+        }
         assert_eq!(
             stats.summary_line(),
             "requests 3, runs 2, cache hits 0, coalesced 1, atoms-steps 14400, exchanges 5 (1 early)"
