@@ -418,7 +418,7 @@ static METRICS: [Metric; 25] = [
     Metric {
         path: "latency.queue_wait",
         prom: "wafer_md_queue_wait_seconds",
-        help: "Queue wait from admission to batch claim.",
+        help: "Queue wait from admission to run start.",
         read: Read::Histogram(|m| &m.queue_wait, PromUnit::Micros),
     },
     Metric {
