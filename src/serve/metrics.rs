@@ -1030,6 +1030,43 @@ mod tests {
         );
     }
 
+    /// The metric table in `docs/OPERATIONS.md` names exactly the
+    /// metrics of [`METRICS`], each `/stats` path beside its series.
+    #[test]
+    fn the_operations_manual_documents_exactly_the_declared_metrics() {
+        let manual = include_str!("../../docs/OPERATIONS.md");
+        let (_, table) = manual
+            .split_once("| `/stats` path | Prometheus series | Meaning |\n")
+            .expect("the manual has the metric table");
+        let documented: Vec<(&str, &str)> = table
+            .lines()
+            .skip(1)
+            .take_while(|row| row.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+                (cells[1].trim_matches('`'), cells[2].trim_matches('`'))
+            })
+            .collect();
+        let declared: Vec<(&str, &str)> = METRICS.iter().map(|m| (m.path, m.prom)).collect();
+        let undocumented: Vec<_> = declared
+            .iter()
+            .filter(|m| !documented.contains(m))
+            .collect();
+        let undeclared: Vec<_> = documented
+            .iter()
+            .filter(|m| !declared.contains(m))
+            .collect();
+        assert!(
+            undocumented.is_empty() && undeclared.is_empty(),
+            "declared but not documented: {undocumented:?}; documented but not declared: {undeclared:?}"
+        );
+        assert_eq!(
+            documented.len(),
+            declared.len(),
+            "a metric is documented twice"
+        );
+    }
+
     #[test]
     fn prometheus_exposition_is_well_formed_and_cumulative() {
         let metrics = ServeMetrics::new(2);

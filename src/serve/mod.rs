@@ -38,9 +38,9 @@
 //!   runs, and batch passes; per-acceptor connection counters; shard
 //!   integrate/exchange timing; and the `--trace FILE` structured
 //!   event trace ([`Tracer`]) behind a bounded never-blocking channel.
-//!   Surfaced as the `latency`/`batch`/`acceptors`/`shards`/`trace`
-//!   objects of `GET /stats` and the whole of `GET /stats/prom`
-//!   (Prometheus text exposition). Timing data lives **only** here —
+//!   One declared metric table renders all of `GET /stats` and
+//!   `GET /stats/prom` (Prometheus text exposition) from these and the
+//!   scheduler's [`ServeStats`]. Timing data lives **only** here —
 //!   never in `report.txt`, `counters.json`, cache keys, or drain
 //!   stdout — so the byte-determinism contract survives observation
 //!   (see `docs/OPERATIONS.md` for the operator's view).
