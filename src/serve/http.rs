@@ -380,12 +380,22 @@ impl<W: Write> ChunkedWriter<W> {
     }
 }
 
-fn error_body(hint: &str) -> Vec<u8> {
+/// Answer a JSON error, `{"error":"<hint>"}` and a newline, with the
+/// status's reason phrase, as one fixed-length response.
+fn respond_error<W: Write>(stream: &mut W, status: u16, keep: bool, hint: &str) -> io::Result<()> {
+    let reason = match status {
+        400 => "Bad Request",
+        404 => "Not Found",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
+        500 => "Internal Server Error",
+        _ => unreachable!("no JSON error answer uses status {status}"),
+    };
     let mut body = Value::Obj(vec![("error".into(), Value::Str(hint.into()))])
         .render()
         .into_bytes();
     body.push(b'\n');
-    body
+    respond(stream, status, reason, "application/json", &[], keep, &body)
 }
 
 /// The server state every acceptor thread shares.
@@ -608,42 +618,18 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 }
             }
             Err(RequestError::Malformed(hint)) => {
-                let _ = respond(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &[],
-                    false,
-                    &error_body(&hint),
-                );
+                let _ = respond_error(&mut stream, 400, false, &hint);
                 return lingering_close(&stream);
             }
             Err(RequestError::TooLarge(hint)) => {
-                let _ = respond(
-                    &mut stream,
-                    413,
-                    "Payload Too Large",
-                    "application/json",
-                    &[],
-                    false,
-                    &error_body(&hint),
-                );
+                let _ = respond_error(&mut stream, 413, false, &hint);
                 return lingering_close(&stream);
             }
             Err(RequestError::Timeout) => {
                 // A stall mid-first-request earns a 408; an idle
                 // persistent connection just closes silently.
                 if served == 0 {
-                    let _ = respond(
-                        &mut stream,
-                        408,
-                        "Request Timeout",
-                        "application/json",
-                        &[],
-                        false,
-                        &error_body("request timed out"),
-                    );
+                    let _ = respond_error(&mut stream, 408, false, "request timed out");
                     return lingering_close(&stream);
                 }
                 return;
@@ -702,17 +688,12 @@ fn dispatch(request: &Request, stream: &mut TcpStream, shared: &Shared, keep: bo
             }
         }
         _ => {
-            let _ = respond(
+            let _ = respond_error(
                 stream,
                 404,
-                "Not Found",
-                "application/json",
-                &[],
                 keep,
-                &error_body(
-                    "no such endpoint (try POST /run, GET /stats, GET /stats/prom, \
-                     GET /result/<key>, GET /result/<key>/trajectory.xyz, POST /shutdown)",
-                ),
+                "no such endpoint (try POST /run, GET /stats, GET /stats/prom, \
+                 GET /result/<key>, GET /result/<key>/trajectory.xyz, POST /shutdown)",
             );
         }
     }
@@ -726,15 +707,7 @@ fn post_run(request: &Request, stream: &mut TcpStream, shared: &Shared, keep: bo
     let spec = match spec {
         Ok(spec) => spec,
         Err(hint) => {
-            let _ = respond(
-                stream,
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                keep,
-                &error_body(&hint),
-            );
+            let _ = respond_error(stream, 400, keep, &hint);
             return;
         }
     };
@@ -785,15 +758,7 @@ fn answer_from_cell(key: &str, cell: &JobCell, stream: &mut TcpStream, keep: boo
             );
         }
         None => {
-            let _ = respond(
-                stream,
-                500,
-                "Internal Server Error",
-                "application/json",
-                &[],
-                keep,
-                &error_body("scenario run failed; resubmit"),
-            );
+            let _ = respond_error(stream, 500, keep, "scenario run failed; resubmit");
         }
     }
 }
@@ -842,14 +807,11 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
     // Path-traversal hardening: a key is exactly 16 lowercase hex
     // characters, validated before it can touch the filesystem.
     if !is_valid_key(key) {
-        let _ = respond(
+        let _ = respond_error(
             stream,
             400,
-            "Bad Request",
-            "application/json",
-            &[],
             keep,
-            &error_body("result keys are exactly 16 lowercase hex characters"),
+            "result keys are exactly 16 lowercase hex characters",
         );
         return;
     }
@@ -869,15 +831,7 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
                     );
                 }
                 None => {
-                    let _ = respond(
-                        stream,
-                        404,
-                        "Not Found",
-                        "application/json",
-                        &[],
-                        keep,
-                        &error_body("unknown result key"),
-                    );
+                    let _ = respond_error(stream, 404, keep, "unknown result key");
                 }
             }
         }
@@ -891,27 +845,21 @@ fn get_result(rest: &str, stream: &mut TcpStream, shared: &Shared, keep: bool) {
                     shared.metrics.trace(TraceEvent::new("streamed").key(key));
                 }
                 None => {
-                    let _ = respond(
+                    let _ = respond_error(
                         stream,
                         404,
-                        "Not Found",
-                        "application/json",
-                        &[],
                         keep,
-                        &error_body("no cached trajectory for this key (did the spec set xyz?)"),
+                        "no cached trajectory for this key (did the spec set xyz?)",
                     );
                 }
             }
         }
         Some(_) => {
-            let _ = respond(
+            let _ = respond_error(
                 stream,
                 404,
-                "Not Found",
-                "application/json",
-                &[],
                 keep,
-                &error_body("unknown artifact (try /result/<key> or /result/<key>/trajectory.xyz)"),
+                "unknown artifact (try /result/<key> or /result/<key>/trajectory.xyz)",
             );
         }
     }
@@ -1003,17 +951,7 @@ mod tests {
     #[test]
     fn a_json_error_is_one_write_with_unchanged_bytes() {
         let mut w = Counting::default();
-        let body = error_body("unknown result key");
-        respond(
-            &mut w,
-            404,
-            "Not Found",
-            "application/json",
-            &[],
-            false,
-            &body,
-        )
-        .unwrap();
+        respond_error(&mut w, 404, false, "unknown result key").unwrap();
         assert_eq!(w.writes, 1);
         assert_eq!(
             text(&w),
