@@ -133,7 +133,6 @@ fn serve_help() -> ! {
          \x20 --addr HOST:PORT       listen address (default 127.0.0.1:7878; port 0 picks a free port)\n\
          \x20 --cache DIR            result cache root (default ./.wafer-cache)\n\
          \x20 --drain FILE           run a request file to completion, print the drain report, exit\n\
-         \x20 --once FILE            alias for --drain\n\
          \x20 --serve-threads N      acceptor threads answering connections (default 4)\n\
          \x20 --timeout-ms MS        per-connection read/write + keep-alive idle timeout (default 10000)\n\
          \x20 --max-requests-per-conn N  requests served per connection before it closes (default 100)\n\
@@ -161,9 +160,7 @@ fn serve_main(args: &[String]) {
             "--help" | "-h" => serve_help(),
             "--addr" => addr = value(&mut i).clone(),
             "--cache" => cache = value(&mut i).clone(),
-            // `--once` is an alias for `--drain`: run the request file
-            // to completion, then exit.
-            "--drain" | "--once" => drain = Some(value(&mut i).clone()),
+            "--drain" => drain = Some(value(&mut i).clone()),
             "--serve-threads" => {
                 config.threads = parse_count("--serve-threads", value(&mut i)) as usize;
             }
