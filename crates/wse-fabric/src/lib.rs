@@ -12,22 +12,22 @@
 //!   systolic marching multicast with explicit per-cycle link occupancy,
 //!   used to validate that the communication schedule is contention-free
 //!   and that its cost matches the closed-form cycle count.
-//! * **Functional mode** ([`fabric`] + [`cost`]): direct neighborhood
-//!   data movement with cycles charged from the calibrated linear cost
-//!   model (Table II / Table V), used for the 10⁵–10⁶-core experiments.
+//! * **Functional mode** ([`cost`]): the MD driver (`wse_md::WseMdSim`)
+//!   keeps its per-core state in flat vectors indexed by [`Extent`]
+//!   and moves neighborhood data directly, charging cycles from the
+//!   calibrated linear cost model (Table II / Table V); used for the
+//!   10⁵–10⁶-core experiments.
 //!
 //! The physical machine executes asynchronously with hardware dataflow;
 //! this simulator reproduces its *schedule* and *cost*, which is what the
 //! paper's evaluation measures.
 
 pub mod cost;
-pub mod fabric;
 pub mod geometry;
 pub mod multicast;
 pub mod router;
 pub mod tile;
 
 pub use cost::{CostModel, WSE2_CLOCK_GHZ};
-pub use fabric::Fabric;
 pub use geometry::{Coord, Extent, WSE2_CORES, WSE2_EXTENT};
-pub use tile::{CycleCounter, SramBudget, TILE_SRAM_BYTES};
+pub use tile::{SramBudget, TILE_SRAM_BYTES};

@@ -1,12 +1,9 @@
-//! Per-tile resources: SRAM budget and cycle accounting.
+//! Per-tile resources: the SRAM budget.
 //!
 //! Each WSE-2 tile has 48 kB of single-cycle SRAM and no other memory
 //! (Sec. IV-A); everything a worker holds — atom state, interpolation
 //! tables, receive buffers, neighbor list, scratch — must fit. The
-//! [`SramBudget`] type makes that constraint explicit and auditable. The
-//! [`CycleCounter`] mirrors the paper's measurement method: "at the end of
-//! every timestep, the cores record a hardware clock cycle counter in a
-//! scratch memory buffer" (Sec. IV-B).
+//! [`SramBudget`] type makes that constraint explicit and auditable.
 
 use std::fmt;
 
@@ -91,43 +88,6 @@ impl SramBudget {
     }
 }
 
-/// Per-tile hardware clock counter plus the scratch buffer of
-/// per-timestep samples the paper's measurement harness records.
-#[derive(Clone, Debug, Default)]
-pub struct CycleCounter {
-    now: u64,
-    samples: Vec<u64>,
-    last_mark: u64,
-}
-
-impl CycleCounter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance the clock by `cycles`.
-    pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
-    }
-
-    /// Current clock value.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Record the cycles elapsed since the previous mark into the scratch
-    /// buffer (one sample per timestep).
-    pub fn mark_timestep(&mut self) {
-        self.samples.push(self.now - self.last_mark);
-        self.last_mark = self.now;
-    }
-
-    /// Per-timestep samples recorded so far.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,16 +129,5 @@ mod tests {
         b.alloc("all", 100).unwrap();
         assert_eq!(b.remaining(), 0);
         assert!(b.alloc("one more", 1).is_err());
-    }
-
-    #[test]
-    fn cycle_counter_marks_deltas() {
-        let mut c = CycleCounter::new();
-        c.advance(100);
-        c.mark_timestep();
-        c.advance(250);
-        c.mark_timestep();
-        assert_eq!(c.samples(), &[100, 250]);
-        assert_eq!(c.now(), 350);
     }
 }
