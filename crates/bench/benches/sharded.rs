@@ -12,40 +12,23 @@
 //! perf-model reconciliation projects.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use md_core::lattice::SlabSpec;
-use md_core::materials::{Material, Species};
-use md_core::system::Box3;
-use md_core::thermostat;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use md_core::materials::Species;
 use wafer_md::md::engine::Engine;
-use wafer_md::shard::ShardedEngine;
+use wafer_md::scenario::{EngineKind, GhostPeriod, Scenario};
 
 fn bench_sharded_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_step");
     group.sample_size(10);
-    let material = Material::new(Species::Ta);
-    let spec = SlabSpec {
-        crystal: material.crystal,
-        lattice_a: material.lattice_a,
-        nx: 24,
-        ny: 8,
-        nz: 2,
-    };
-    let positions = spec.generate();
-    let mut rng = StdRng::seed_from_u64(42);
-    let velocities = thermostat::maxwell_boltzmann(&mut rng, positions.len(), material.mass, 290.0);
-    let bbox = Box3::open(spec.dimensions());
+    let sc = Scenario::slab(Species::Ta, 24, 8, 2)
+        .temperature(290.0)
+        .seed(42)
+        .engine(EngineKind::Baseline)
+        .shards(2);
     for period in [1usize, 4] {
-        let mut engine = ShardedEngine::baseline(
-            Species::Ta,
-            positions.clone(),
-            velocities.clone(),
-            bbox,
-            2e-3,
-            2,
-            period,
-        );
+        let mut engine = sc
+            .ghost_period(GhostPeriod::Every(period))
+            .build_sharded()
+            .expect("slab workload shards");
         group.throughput(Throughput::Elements(engine.n_atoms() as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("k{period}")),

@@ -6,13 +6,16 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use md_core::materials::{Material, Species};
 use md_core::system::System;
-use wafer_md_bench::thermal_slab_sim;
+use wafer_md::scenario::Scenario;
 
 fn bench_wse_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("wse_step_per_material");
     group.sample_size(20);
     for sp in [Species::Ta, Species::W, Species::Cu] {
-        let mut sim = thermal_slab_sim(sp, 16, 2, 290.0, 0.05, 4);
+        let mut sim = Scenario::slab(sp, 16, 16, 2)
+            .temperature(290.0)
+            .seed(4)
+            .build_wse();
         // One iteration = one timestep over n atoms, so the recorded
         // throughput is host atoms·steps/sec.
         group.throughput(Throughput::Elements(sim.n_atoms() as u64));
@@ -29,7 +32,10 @@ fn bench_wse_step_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("wse_step_vs_atoms");
     group.sample_size(10);
     for nx in [8usize, 16, 32] {
-        let mut sim = thermal_slab_sim(Species::Ta, nx, 2, 290.0, 0.05, 4);
+        let mut sim = Scenario::slab(Species::Ta, nx, nx, 2)
+            .temperature(290.0)
+            .seed(4)
+            .build_wse();
         let atoms = sim.n_atoms();
         group.throughput(Throughput::Elements(atoms as u64));
         group.bench_with_input(BenchmarkId::from_parameter(atoms), &(), |b, _| {
@@ -65,7 +71,11 @@ fn bench_baseline_step(c: &mut Criterion) {
 }
 
 fn bench_swap_round(c: &mut Criterion) {
-    let mut sim = thermal_slab_sim(Species::W, 12, 2, 900.0, 0.1, 4);
+    let mut sim = Scenario::slab(Species::W, 12, 12, 2)
+        .temperature(900.0)
+        .seed(4)
+        .spare(0.1)
+        .build_wse();
     sim.run(10);
     let atoms = sim.n_atoms() as u64;
     let mut group = c.benchmark_group("swap");

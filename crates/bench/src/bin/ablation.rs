@@ -9,31 +9,20 @@
 //! the projection. The other two (fixed-cost reduction, 4-core workers)
 //! are micro-architectural and remain model-only.
 
-use md_core::lattice::SlabSpec;
-use md_core::materials::{Material, Species};
-use md_core::thermostat;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use md_core::materials::Species;
+use wafer_md::scenario::Scenario;
 use wafer_md_bench::{fmt_rate, header};
-use wse_md::{WseMdConfig, WseMdSim};
 
 fn run(species: Species, symmetric: bool, reuse: usize) -> (f64, f64, f64) {
-    let m = Material::new(species);
-    let spec = SlabSpec {
-        crystal: m.crystal,
-        lattice_a: m.lattice_a,
-        nx: 24,
-        ny: 24,
-        nz: 3,
-    };
-    let positions = spec.generate();
-    let mut rng = StdRng::seed_from_u64(77);
-    let velocities = thermostat::maxwell_boltzmann(&mut rng, positions.len(), m.mass, 290.0);
-    let mut config = WseMdConfig::open_for(positions.len(), 0.04, 2e-3);
-    config.symmetric_forces = symmetric;
-    config.neighbor_reuse_interval = reuse;
-    config.neighbor_skin = if reuse > 1 { 1.0 } else { 0.0 };
-    let mut sim = WseMdSim::new(species, &positions, &velocities, config);
+    let mut sim = Scenario::slab(species, 24, 24, 3)
+        .temperature(290.0)
+        .seed(77)
+        .spare(0.04)
+        .build_wse();
+    // The engine reads these three fields only when it steps.
+    sim.config.symmetric_forces = symmetric;
+    sim.config.neighbor_reuse_interval = reuse;
+    sim.config.neighbor_skin = if reuse > 1 { 1.0 } else { 0.0 };
     sim.run(40);
     (
         sim.timesteps_per_second(40),

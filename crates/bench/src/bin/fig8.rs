@@ -10,13 +10,14 @@
 //!   grows (small sizes are edge-dominated and run faster).
 
 use md_core::materials::Species;
-use wafer_md_bench::{controlled_grid_sim, fmt_rate, header, thermal_slab_sim};
+use wafer_md::scenario::Scenario;
+use wafer_md_bench::{fmt_rate, header};
 
 fn main() {
     header("Fig. 8 — weak scaling, controlled grids (fixed workload per core)");
     let mut rows = Vec::new();
     for side in [24usize, 48, 96, 192, 384] {
-        let mut sim = controlled_grid_sim(Species::Ta, side, 1.3, 4);
+        let mut sim = Scenario::controlled_grid(Species::Ta, side, 1.3, 4).build_wse();
         sim.run(6);
         let s = sim.last_stats;
         rows.push((
@@ -52,7 +53,11 @@ fn main() {
     header("Fig. 8 — weak scaling, thermal Ta slabs (realistic workload)");
     println!("    atoms |     cores | cand  | inter | ts/s");
     for nx in [8usize, 16, 32, 48, 64] {
-        let mut sim = thermal_slab_sim(Species::Ta, nx, 2, 290.0, 0.04, 8);
+        let mut sim = Scenario::slab(Species::Ta, nx, nx, 2)
+            .temperature(290.0)
+            .seed(8)
+            .spare(0.04)
+            .build_wse();
         sim.run(8);
         let s = sim.last_stats;
         println!(

@@ -5,45 +5,37 @@
 //! lines) the atom-to-core assignment cost for swap intervals from 1 to
 //! 250 timesteps, starting from a deliberately sub-optimal mapping.
 
-use md_core::grain::GrainBoundarySpec;
 use md_core::materials::{Material, Species};
-use md_core::thermostat;
 use md_core::vec3::V3d;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use wafer_md::scenario::Scenario;
 use wafer_md_bench::header;
-use wse_md::{swap_round, WseMdConfig, WseMdSim};
-
-fn build() -> (WseMdSim, Vec<V3d>) {
-    let material = Material::new(Species::W);
-    let spec = GrainBoundarySpec::tungsten_like(V3d::new(42.0, 42.0, 2.0 * material.lattice_a));
-    let positions = spec.generate();
-    let mut rng = StdRng::seed_from_u64(99);
-    let velocities =
-        thermostat::maxwell_boltzmann(&mut rng, positions.len(), material.mass, 1600.0);
-    // ~4% empty tiles, matching the paper's 62,500 cores for 61,600 atoms.
-    let config = WseMdConfig::open_for(positions.len(), 0.04, 2e-3);
-    let sim = WseMdSim::new(Species::W, &positions, &velocities, config);
-    (sim, positions)
-}
+use wse_md::swap_round;
 
 fn main() {
+    let material = Material::new(Species::W);
+    // ~4% empty tiles, matching the paper's 62,500 cores for 61,600 atoms.
+    let sc = Scenario::grain_boundary(Species::W, V3d::new(42.0, 42.0, 2.0 * material.lattice_a))
+        .temperature(1600.0)
+        .seed(99)
+        .spare(0.04);
+
     header("Fig. 9 — assignment cost vs time, by swap interval");
     let steps = 250usize;
     let sample_every = 25usize;
     let intervals: [usize; 6] = [1, 10, 25, 50, 100, 250];
 
-    let (probe, _) = build();
+    let probe = sc.build_wse();
     println!(
         "{} atoms on {} cores ({} empty); EAM cutoff {:.2} Å\n",
         probe.n_atoms(),
         probe.extent().count(),
         probe.extent().count() - probe.n_atoms(),
-        Material::new(Species::W).cutoff
+        material.cutoff
     );
 
     // Black line: max-norm displacement over time (no swaps needed).
-    let (mut free, start) = build();
+    let mut free = sc.build_wse();
+    let start = sc.positions();
     let mut displacement = Vec::new();
     for k in 0..steps {
         free.step();
@@ -61,7 +53,7 @@ fn main() {
     // Colored lines: assignment cost per swap interval.
     let mut cost_series: Vec<(usize, Vec<f64>)> = Vec::new();
     for &interval in &intervals {
-        let (mut sim, _) = build();
+        let mut sim = sc.build_wse();
         let mut series = Vec::new();
         for k in 0..steps {
             sim.step();

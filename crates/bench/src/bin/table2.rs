@@ -16,9 +16,10 @@
 //! Also reproduces the timing-stability measurement (Sec. V-B): per-tile
 //! vs array-averaged standard deviation of step cycles.
 
-use md_core::materials::Species;
+use md_core::materials::{Material, Species};
 use perf_model::linear::{fit, SweepSample};
-use wafer_md_bench::{controlled_grid_sim, header};
+use wafer_md::scenario::Scenario;
+use wafer_md_bench::header;
 use wse_fabric::cost::WSE2_CLOCK_GHZ;
 
 fn main() {
@@ -26,11 +27,11 @@ fn main() {
     let mut charged = Vec::new();
     let mut host = Vec::new();
     let side = 40;
+    let cutoff = Material::new(Species::Ta).cutoff;
     for b in [2i32, 3, 4, 5, 6, 7] {
         for spacing_frac in [0.22, 0.35, 0.5, 0.7, 0.95] {
-            let m = md_core::materials::Material::new(Species::Ta);
-            let spacing = m.cutoff * spacing_frac;
-            let mut sim = controlled_grid_sim(Species::Ta, side, spacing, b);
+            let spacing = cutoff * spacing_frac;
+            let mut sim = Scenario::controlled_grid(Species::Ta, side, spacing, b).build_wse();
             let t0 = std::time::Instant::now();
             sim.run(8);
             let host_ns_per_step = t0.elapsed().as_nanos() as f64 / 8.0;
@@ -65,7 +66,7 @@ fn main() {
 
     header("Timing stability (Sec. V-B)");
     // Rerun one configuration and collect per-step cycles.
-    let mut sim = controlled_grid_sim(Species::Ta, side, 1.3, 4);
+    let mut sim = Scenario::controlled_grid(Species::Ta, side, 1.3, 4).build_wse();
     sim.run(50);
     let trace = &sim.cycle_trace;
     let mean: f64 = trace.iter().sum::<f64>() / trace.len() as f64;

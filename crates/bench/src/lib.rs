@@ -1,56 +1,7 @@
-//! Shared workload builders and formatting for the experiment
-//! regenerator binaries (one binary per paper table/figure; see
-//! DESIGN.md's per-experiment index).
-
-use md_core::lattice::SlabSpec;
-use md_core::materials::{Material, Species};
-use md_core::thermostat;
-use md_core::vec3::V3d;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use wse_md::{WseMdConfig, WseMdSim};
-
-/// Build a thermalized thin-slab wafer simulation for `species`:
-/// `nx × nx × nz` conventional cells at `temperature` K, mapped with
-/// `spare` fraction of vacant tiles.
-pub fn thermal_slab_sim(
-    species: Species,
-    nx: usize,
-    nz: usize,
-    temperature: f64,
-    spare: f64,
-    seed: u64,
-) -> WseMdSim {
-    let material = Material::new(species);
-    let spec = SlabSpec {
-        crystal: material.crystal,
-        lattice_a: material.lattice_a,
-        nx,
-        ny: nx,
-        nz,
-    };
-    let positions = spec.generate();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let velocities =
-        thermostat::maxwell_boltzmann(&mut rng, positions.len(), material.mass, temperature);
-    let config = WseMdConfig::open_for(positions.len(), spare, 2e-3);
-    WseMdSim::new(species, &positions, &velocities, config)
-}
-
-/// Build the paper's controlled performance configuration (Sec. IV-B,
-/// condition 2): a regular 2-D grid of frozen atoms, one per core, with
-/// the neighborhood-size parameter `b` forced and the interaction count
-/// controlled by the grid `spacing` relative to the cutoff.
-pub fn controlled_grid_sim(species: Species, side: usize, spacing: f64, b: i32) -> WseMdSim {
-    let positions = wse_md::controlled_grid_positions(side, spacing);
-    let velocities = vec![V3d::zero(); positions.len()];
-    WseMdSim::new(
-        species,
-        &positions,
-        &velocities,
-        WseMdConfig::controlled_grid(side, b),
-    )
-}
+//! Shared formatting for the experiment regenerator binaries (one
+//! binary per paper table/figure; see the crate map in
+//! docs/ARCHITECTURE.md). The binaries build their workloads through
+//! `wafer_md::scenario::Scenario`, the same seam `wafer-md run` uses.
 
 /// Print a section header.
 pub fn header(title: &str) {
@@ -74,24 +25,6 @@ pub fn fmt_rate(rate: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn controlled_grid_has_exact_interior_candidates() {
-        let sim = controlled_grid_sim(Species::Ta, 20, 1.5, 4);
-        // (2·4+1)² − 1 = 80 — the paper's Ta candidate count.
-        assert_eq!(sim.interior_candidates(), 80);
-    }
-
-    #[test]
-    fn controlled_grid_atoms_stay_frozen() {
-        let mut sim = controlled_grid_sim(Species::Ta, 12, 2.0, 3);
-        let before = sim.positions_by_atom();
-        sim.run(5);
-        let after = sim.positions_by_atom();
-        for (a, b) in before.iter().zip(&after) {
-            assert_eq!(a, b);
-        }
-    }
 
     #[test]
     fn rate_formatting() {

@@ -15,8 +15,9 @@
 //! * functions vanish smoothly at the cutoff (C¹), as spline tables
 //!   require.
 //!
-//! See DESIGN.md ("Hardware gate and substitutions") for the argument
-//! that this preserves the paper's evaluation behaviour.
+//! The crate map in docs/ARCHITECTURE.md places these calibrated
+//! materials under both engines; the properties above are what keeps
+//! the paper's evaluation behaviour intact under the substitution.
 
 use crate::eam::EamPotential;
 use crate::lattice::Crystal;

@@ -6,7 +6,8 @@
 //! a general-purpose core, 48 kB of SRAM, and a router connected to its
 //! four mesh neighbors (paper Sec. IV-A, Fig. 6).
 //!
-//! Two execution fidelities are provided, per DESIGN.md:
+//! Two execution fidelities are provided (see the crate map in
+//! docs/ARCHITECTURE.md):
 //!
 //! * **Cycle mode** ([`multicast`]): a router-level simulation of the
 //!   systolic marching multicast with explicit per-cycle link occupancy,

@@ -101,8 +101,8 @@ impl WseMdConfig {
     /// radius forced to `b`, no integration (dt = 0, "atoms hold their
     /// position throughout performance measurement"), open boundaries,
     /// and no list reuse — the fixture behind the Table II fit. The
-    /// single source for this config: the bench workload builders and
-    /// the scenario subsystem both construct it here.
+    /// single source for this config: `Scenario::controlled_grid` in
+    /// the facade builds it here for the CLI and the paper tables.
     pub fn controlled_grid(side: usize, b: i32) -> Self {
         Self {
             extent: Extent::new(side, side),
@@ -121,8 +121,7 @@ impl WseMdConfig {
 /// Positions for the controlled performance grid: a frozen `side ×
 /// side` 2-D lattice at `spacing` Å, one atom per core of the matching
 /// [`WseMdConfig::controlled_grid`] fabric. Single source for the
-/// fixture's layout (used by the bench workload builders and the
-/// scenario subsystem).
+/// fixture's layout (used by the facade's `Scenario::controlled_grid`).
 pub fn controlled_grid_positions(side: usize, spacing: f64) -> Vec<V3d> {
     (0..side * side)
         .map(|k| {

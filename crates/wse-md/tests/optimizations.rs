@@ -6,6 +6,7 @@
 use md_core::lattice::SlabSpec;
 use md_core::materials::{Material, Species};
 use md_core::thermostat;
+use md_core::vec3::V3d;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wse_md::{WseMdConfig, WseMdSim};
@@ -176,4 +177,32 @@ fn swaps_invalidate_reused_lists() {
         drift < 5e-3,
         "energy drift {drift} eV/atom across swaps+reuse"
     );
+}
+
+#[test]
+fn optimization_fields_set_after_construction_match_the_config() {
+    // The three Table V fields are read only when the engine steps, so
+    // setting them on a built simulator's `config` (as the ablation
+    // binary does) gives the same bits as passing them at construction.
+    for (symmetric, reuse, skin) in [(true, 1, 0.0), (false, 10, 1.0), (true, 10, 1.0)] {
+        let mut given = build(Species::Ta, 4, symmetric, reuse, skin, 9);
+        let mut set = build(Species::Ta, 4, false, 1, 0.0, 9);
+        set.config.symmetric_forces = symmetric;
+        set.config.neighbor_reuse_interval = reuse;
+        set.config.neighbor_skin = skin;
+        given.run(25);
+        set.run(25);
+        let bits = |v: Vec<V3d>| {
+            v.iter()
+                .map(|p| p.to_array().map(f64::to_bits))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(given.positions_by_atom()),
+            bits(set.positions_by_atom())
+        );
+        assert_eq!(bits(given.forces_by_atom()), bits(set.forces_by_atom()));
+        let trace_bits = |t: &[f64]| t.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(trace_bits(&given.cycle_trace), trace_bits(&set.cycle_trace));
+    }
 }

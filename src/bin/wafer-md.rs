@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use wafer_md::md::materials::Material;
 use wafer_md::md::setfl;
-use wafer_md::scenario::{self, RunOptions, ScenarioError};
+use wafer_md::scenario::{self, EngineKind, GhostPeriod, RunOptions, ScenarioError};
 use wafer_md::serve;
 
 /// Surface a typed scenario error with the usage text and exit 2: the
@@ -75,34 +75,48 @@ fn indent(s: &str) -> String {
 
 fn parse_run(args: &[String]) -> (String, RunOptions) {
     let Some(name) = args.first() else { usage() };
-    let mut opts = RunOptions::new();
+    let mut opts = RunOptions::default();
     let mut i = 1;
     let value = |i: &mut usize| -> &String {
         *i += 1;
         args.get(*i).unwrap_or_else(|| usage())
     };
-    // Every flag routes through a typed RunOptions parse_* setter: the
-    // builder owns validation, and any ScenarioError maps to exit 2
-    // with its rendered hint.
+    // Every flag spelling is checked by the type it names; a bad one is
+    // a typed ScenarioError, which exits 2 with its rendered hint.
     while i < args.len() {
-        let fallible = |r: Result<RunOptions, ScenarioError>| -> RunOptions {
-            r.unwrap_or_else(|e| scenario_error(e))
-        };
-        opts = match args[i].as_str() {
-            "--engine" => fallible(opts.parse_engine(value(&mut i))),
-            "--atoms" => fallible(opts.parse_atoms(value(&mut i))),
-            "--steps" => fallible(opts.parse_steps(value(&mut i))),
-            "--shards" => fallible(opts.parse_shards(value(&mut i))),
-            "--ghost-period" => fallible(opts.parse_ghost_period(value(&mut i))),
-            "--xyz" => opts.xyz(value(&mut i).into()),
+        match args[i].as_str() {
+            "--engine" => {
+                let engine = EngineKind::parse(value(&mut i));
+                opts.engine = Some(engine.unwrap_or_else(|e| scenario_error(e)));
+            }
+            "--atoms" => opts.atoms = Some(positive(value(&mut i), ScenarioError::InvalidAtoms)),
+            "--steps" => opts.steps = Some(positive(value(&mut i), ScenarioError::InvalidSteps)),
+            "--shards" => {
+                opts.shards = Some(positive(value(&mut i), |_| ScenarioError::InvalidShards));
+            }
+            "--ghost-period" => {
+                let v = value(&mut i);
+                let invalid = || scenario_error(ScenarioError::InvalidGhostPeriod(v.clone()));
+                opts.ghost_period = Some(GhostPeriod::parse(v).unwrap_or_else(invalid));
+            }
+            "--xyz" => opts.xyz = Some(value(&mut i).into()),
             other => {
                 eprintln!("unknown argument '{other}'");
                 usage()
             }
-        };
+        }
         i += 1;
     }
     (name.clone(), opts)
+}
+
+/// Parse a positive integer `run` flag; any other spelling exits 2 with
+/// the hint of the typed error `invalid` builds from it.
+fn positive(v: &str, invalid: fn(String) -> ScenarioError) -> usize {
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => scenario_error(invalid(v.to_string())),
+    }
 }
 
 /// Parse a positive integer serve flag, exiting 2 with a hint
@@ -166,8 +180,7 @@ fn serve_main(args: &[String]) {
             }
             "--timeout-ms" => {
                 let ms = parse_count("--timeout-ms", value(&mut i));
-                config.read_timeout = std::time::Duration::from_millis(ms);
-                config.write_timeout = config.read_timeout;
+                config.timeout = std::time::Duration::from_millis(ms);
             }
             "--max-requests-per-conn" => {
                 config.max_requests_per_conn =

@@ -25,8 +25,7 @@
 //! declarative [`scenario::Scenario`] builder that materializes it, the
 //! [`scenario::Engine`] trait both backends implement, and a named
 //! registry of every workload (`wafer-md run <name>` / `wafer-md list`
-//! on the command line; `cargo run --example quickstart` etc. are thin
-//! wrappers over the same registry). The [`shard`] module runs any
+//! on the command line). The [`shard`] module runs any
 //! registered MD workload as K spatial shards with ghost-region
 //! exchange — bit-identical to the single-engine run — and [`traj`]
 //! dumps XYZ trajectories for end-to-end byte comparison.

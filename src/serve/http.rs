@@ -66,6 +66,10 @@ use crate::scenario::ScenarioSpec;
 /// Cap on the request line + headers, together.
 const MAX_HEAD_BYTES: u64 = 8 * 1024;
 
+/// Largest accepted request body; bigger declared bodies are answered
+/// 413 without being read.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// File-streaming chunk size for `GET /result/<key>/trajectory.xyz`.
 const STREAM_CHUNK: usize = 64 * 1024;
 
@@ -76,17 +80,13 @@ pub struct ServeConfig {
     /// connection at a time; the scheduler coalesces duplicate
     /// in-flight specs, so any width preserves one-run-per-spec.
     pub threads: usize,
-    /// Per-connection read timeout (zero = none). A client that stalls
-    /// mid-first-request is answered 408 and dropped; an idle
-    /// persistent connection that sends nothing for this long between
-    /// requests is closed silently.
-    pub read_timeout: Duration,
-    /// Per-connection write timeout (zero = none): a client that stops
-    /// reading its response is dropped without blocking the worker.
-    pub write_timeout: Duration,
-    /// Largest accepted request body, in bytes; bigger declared bodies
-    /// are answered 413 without being read.
-    pub max_body: usize,
+    /// Per-connection read and write timeout (`--timeout-ms`; zero =
+    /// none). A client that stalls mid-first-request is answered 408
+    /// and dropped; an idle persistent connection that sends nothing
+    /// for this long between requests is closed silently; a client
+    /// that stops reading its response is dropped without blocking the
+    /// worker.
+    pub timeout: Duration,
     /// Requests served per connection before the server closes it
     /// (`--max-requests-per-conn`) — a fairness/leak backstop so one
     /// immortal connection cannot pin a worker forever.
@@ -97,9 +97,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             threads: 4,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_body: 1 << 20,
+            timeout: Duration::from_secs(10),
             max_requests_per_conn: 100,
         }
     }
@@ -146,10 +144,7 @@ fn classify(e: io::Error) -> RequestError {
 /// the read half was shut down) cleanly between requests. The reader
 /// outlives the call, so bytes the client pipelined behind this
 /// request stay buffered for the next call.
-fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    max_body: usize,
-) -> Result<Option<Request>, RequestError> {
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, RequestError> {
     let mut reader = reader.by_ref().take(MAX_HEAD_BYTES);
     let mut line = String::new();
     match reader.read_line(&mut line) {
@@ -221,9 +216,9 @@ fn read_request(
     // lingering close drains whatever followed).
     let unframed_post = content_length.is_none() && method == "POST";
     let content_length = content_length.unwrap_or(0);
-    if content_length > max_body {
+    if content_length > MAX_BODY_BYTES {
         return Err(RequestError::TooLarge(format!(
-            "request body of {content_length} bytes exceeds the {max_body}-byte limit"
+            "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
         )));
     }
     // The head cap has served its purpose; re-arm the limit for the body.
@@ -580,11 +575,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     // buys nothing; left on, any segment sent while an earlier one is
     // unacknowledged waits out the client's delayed ACK (~40 ms).
     let _ = stream.set_nodelay(true);
-    if !config.read_timeout.is_zero() {
-        let _ = stream.set_read_timeout(Some(config.read_timeout));
-    }
-    if !config.write_timeout.is_zero() {
-        let _ = stream.set_write_timeout(Some(config.write_timeout));
+    if !config.timeout.is_zero() {
+        let _ = stream.set_read_timeout(Some(config.timeout));
+        let _ = stream.set_write_timeout(Some(config.timeout));
     }
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -598,7 +591,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
         // Bytes already buffered before we even ask = the client
         // pipelined this request behind the previous one.
         let pipelined = !reader.buffer().is_empty();
-        match read_request(&mut reader, config.max_body) {
+        match read_request(&mut reader) {
             Ok(None) => return, // clean close between requests
             Ok(Some(request)) => {
                 if served == 1 {

@@ -52,7 +52,8 @@
 //!   semantics), pipelined requests served in order off the
 //!   connection's buffered reader, bounded by a per-connection request
 //!   cap and the idle timeout ([`ServeConfig`]: `--serve-threads`,
-//!   `--timeout-ms`, `--max-requests-per-conn`, request-size cap).
+//!   `--timeout-ms`, `--max-requests-per-conn`; request heads and
+//!   bodies have fixed 8 KiB and 1 MiB caps).
 //!   Cache misses and trajectories stream as chunked transfer encoding
 //!   (self-delimiting, so keep-alive survives streaming).
 //! - [`drain_file`] / [`drain_file_with`] — the `--drain FILE` entry

@@ -85,6 +85,31 @@ fn zero_shards_is_rejected() {
     assert!(stderr.contains("--shards"), "stderr: {stderr}");
 }
 
+/// Non-positive or non-integer `--atoms`/`--steps` values exit 2 with
+/// the rendered [`scenario::ScenarioError::InvalidAtoms`] /
+/// [`scenario::ScenarioError::InvalidSteps`] hint.
+#[test]
+fn invalid_atom_and_step_counts_are_rejected_with_a_hint() {
+    for (flag, bad) in [
+        ("--atoms", "0"),
+        ("--atoms", "-3"),
+        ("--atoms", "many"),
+        ("--steps", "1.5"),
+    ] {
+        let out = cli()
+            .args(["run", "quickstart", flag, bad])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be a positive integer (got '{bad}')")),
+            "stderr: {stderr}"
+        );
+        assert!(stderr.contains("usage: wafer-md run"), "stderr: {stderr}");
+    }
+}
+
 /// Invalid `--ghost-period` values exit 2 with a usage hint naming the
 /// flag and the accepted spellings.
 #[test]

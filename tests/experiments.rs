@@ -120,7 +120,11 @@ fn sec2b_pipeline_lj_rates() {
 fn every_registered_scenario_reports_through_the_registry() {
     // Reduced budgets: this is a pipeline-rot smoke test, not a physics
     // run. Every scenario must execute and produce a non-empty report.
-    let opts = RunOptions::new().atoms(36).steps(30);
+    let opts = RunOptions {
+        atoms: Some(36),
+        steps: Some(30),
+        ..RunOptions::default()
+    };
     for entry in registry() {
         let text = run_to_string(entry.name, &opts)
             .expect("registered name")

@@ -49,9 +49,7 @@ fn broken_clients_get_clean_errors_and_the_server_keeps_serving() {
     let config = ServeConfig {
         threads: 2,
         // Short timeouts so the stalled-client case resolves quickly.
-        read_timeout: Duration::from_millis(300),
-        write_timeout: Duration::from_millis(300),
-        max_body: 4096,
+        timeout: Duration::from_millis(300),
         ..ServeConfig::default()
     };
     let mut server = Server::bind_with("127.0.0.1:0", cache, config).unwrap();
@@ -191,9 +189,7 @@ fn mid_response_disconnect_still_completes_and_caches_the_run() {
     let cache = ResultCache::open_bounded(&root, CacheBudget::UNBOUNDED).unwrap();
     let config = ServeConfig {
         threads: 2,
-        read_timeout: Duration::from_millis(500),
-        write_timeout: Duration::from_millis(500),
-        max_body: 1 << 20,
+        timeout: Duration::from_millis(500),
         ..ServeConfig::default()
     };
     let mut server = Server::bind_with("127.0.0.1:0", cache, config).unwrap();
