@@ -150,10 +150,11 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The upper bound of the smallest bucket whose cumulative count
-    /// reaches quantile `q` (0 < q ≤ 1) — a conservative (rounded-up)
-    /// quantile estimate. The open-ended last bucket reports the
-    /// recorded maximum. Zero when nothing was recorded.
+    /// The largest value the smallest bucket whose cumulative count
+    /// reaches quantile `q` (0 < q ≤ 1) can hold, capped at the recorded
+    /// maximum — an upper bound on the true quantile that is exact when
+    /// every sample in that bucket is equal. The open-ended last bucket
+    /// reports the recorded maximum. Zero when nothing was recorded.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -163,7 +164,7 @@ impl HistogramSnapshot {
         for (i, &c) in self.buckets.iter().enumerate() {
             cumulative += c;
             if cumulative >= target {
-                return Histogram::bucket_bound(i).unwrap_or(self.max);
+                return Histogram::bucket_bound(i).map_or(self.max, |b| (b - 1).min(self.max));
             }
         }
         self.max
@@ -890,21 +891,45 @@ mod tests {
         assert_eq!(s.sum, 5104);
         assert_eq!(s.max, 5000);
         assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
-        // p50 lands in the bucket of value 3 ([2,4) → bound 4); p99 in
-        // the bucket of 5000 ([4096,8192) → bound 8192).
-        assert_eq!(s.quantile(0.5), 4);
-        assert_eq!(s.quantile(0.99), 8192);
-        assert_eq!(s.quantile(1.0), 8192);
+        // p50 lands in the bucket of value 3 ([2,4) → at most 3); p99 in
+        // the bucket of 5000 ([4096,8192) → at most 8191, capped at the
+        // recorded max 5000).
+        assert_eq!(s.quantile(0.5), 3);
+        assert_eq!(s.quantile(0.99), 5000);
+        assert_eq!(s.quantile(1.0), 5000);
         // Empty histogram quantiles are zero.
         assert_eq!(Histogram::new().snapshot().quantile(0.5), 0);
         // The JSON rendering is alphabetical and self-consistent.
         let v = s.to_value();
         assert_eq!(v.get("count").and_then(Value::as_u64), Some(5));
-        assert_eq!(v.get("p50").and_then(Value::as_u64), Some(4));
+        assert_eq!(v.get("p50").and_then(Value::as_u64), Some(3));
         assert_eq!(
             v.get("buckets").and_then(Value::as_arr).map(|a| a.len()),
             Some(HIST_BUCKETS)
         );
+    }
+
+    #[test]
+    fn equal_samples_give_every_quantile_that_value() {
+        for value in [0, 1, 2, 3, 5_550, 1 << 40] {
+            let h = Histogram::new();
+            for _ in 0..7 {
+                h.record(value);
+            }
+            let s = h.snapshot();
+            for q in [0.01, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(s.quantile(q), value, "q = {q}, value = {value}");
+            }
+        }
+        // Mixed samples: no quantile ever exceeds the recorded max.
+        let h = Histogram::new();
+        for v in [1, 5, 9, 70, 700] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        for q in [0.01, 0.2, 0.5, 0.8, 0.99, 1.0] {
+            assert!(s.quantile(q) <= s.max, "q = {q}");
+        }
     }
 
     #[test]
