@@ -25,6 +25,19 @@ pub fn fmt_rate(rate: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use md_core::materials::Species;
+    use wafer_md::scenario::Scenario;
+
+    #[test]
+    fn controlled_grid_atoms_stay_frozen() {
+        let mut sim = Scenario::controlled_grid(Species::Ta, 12, 2.0, 3).build_wse();
+        let before = sim.positions_by_atom();
+        sim.run(5);
+        let after = sim.positions_by_atom();
+        for (a, b) in before.iter().zip(&after) {
+            assert_eq!(a, b);
+        }
+    }
 
     #[test]
     fn rate_formatting() {
