@@ -5,7 +5,9 @@
 //! tile's SRAM ("local copies of interpolation tables for ρᵢ, Fᵢ, and
 //! φᵢⱼ"). Table III accounts a `segment(·)` lookup as one add, one
 //! multiply, and two other ops — which is exactly what a uniform-knot
-//! table gives: `k = ⌊(x−x₀)·h⁻¹⌋`, `Δx = x − x_k`.
+//! table gives: `k = ⌊(x−x₀)·h⁻¹⌋`, `Δx = x − x_k`. The floor is a
+//! truncating float-to-integer cast on the non-negative side and a
+//! clamp to 0 below it ([`Spline::segment`]), not a call to `floor`.
 //!
 //! We store per-segment cubic coefficients so evaluation of value and
 //! derivative is a fused Horner pass, and we construct the coefficients as
@@ -97,17 +99,19 @@ impl<T: Real> Spline<T> {
     /// The paper's `segment(x)` primitive: segment index and local offset.
     /// Out-of-range arguments clamp to the first/last segment, matching
     /// LAMMPS table semantics.
+    ///
+    /// `⌊t⌋` is taken by a truncating cast, which equals the floor for
+    /// `t ≥ 0` (including −0.0 and a saturated +∞); negative `t` and NaN
+    /// clamp to segment 0 without it, so no libm `floor` call is made.
     #[inline]
     pub fn segment(&self, x: T) -> (usize, T) {
         let t = (x - self.x0) * self.inv_h;
-        let k_f = t.floor();
-        let mut k = k_f.to_f64() as i64;
         let last = (self.coef.len() - 1) as i64;
-        if k < 0 {
-            k = 0;
-        } else if k > last {
-            k = last;
-        }
+        let k = if t >= T::ZERO {
+            (t.to_f64() as i64).min(last)
+        } else {
+            0
+        };
         let xk = self.x0 + T::from_f64(k as f64) * self.h;
         (k as usize, x - xk)
     }
@@ -346,6 +350,60 @@ mod tests {
         assert_eq!(k, 0);
         let (k, _) = s.segment(99.0);
         assert_eq!(k, 8);
+    }
+
+    /// The index [`Spline::segment`] computed before the cast-based
+    /// lookup: `floor`, then a clamp to the segment range.
+    fn floor_index<T: Real>(s: &Spline<T>, x: T) -> usize {
+        let t = (x - s.x0) * s.inv_h;
+        let last = (s.coef.len() - 1) as i64;
+        (t.floor().to_f64() as i64).clamp(0, last) as usize
+    }
+
+    /// Knots, their predecessors, the domain ends, the special values,
+    /// and points past both ends, in the spline's own precision.
+    fn edge_inputs<T: Real>(s: &Spline<T>, prev: impl Fn(T) -> T) -> Vec<T> {
+        let mut xs = vec![T::ZERO, -T::ZERO, s.x0, prev(s.x0), s.x_max()];
+        for k in 0..s.len() + 3 {
+            let knot = s.x0 + T::from_f64(k as f64) * s.h;
+            xs.extend([knot, prev(knot)]);
+        }
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e30,
+            -1e30,
+            1e300,
+        ] {
+            xs.push(T::from_f64(v));
+        }
+        xs
+    }
+
+    proptest::proptest! {
+        /// The cast-based segment index equals the `floor` formula for
+        /// random inputs and every edge case, in both precisions.
+        #[test]
+        fn cast_segment_index_matches_floor(
+            x0 in -5.0f64..5.0,
+            span in 0.5f64..20.0,
+            n in 4usize..200,
+            xs in proptest::collection::vec(-40.0f64..40.0, 64..65),
+        ) {
+            let s64 = Spline::<f64>::tabulate(x0, x0 + span, n, |x| x.sin());
+            let s32: Spline<f32> = s64.cast();
+            let mut x64 = edge_inputs(&s64, f64::next_down);
+            let mut x32 = edge_inputs(&s32, f32::next_down);
+            x64.extend(&xs);
+            x32.extend(xs.iter().map(|&x| x as f32));
+            for x in x64 {
+                proptest::prop_assert_eq!(s64.segment(x).0, floor_index(&s64, x), "f64 x = {}", x);
+            }
+            for x in x32 {
+                proptest::prop_assert_eq!(s32.segment(x).0, floor_index(&s32, x), "f32 x = {}", x);
+            }
+        }
     }
 
     #[test]
