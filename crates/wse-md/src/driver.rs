@@ -20,6 +20,18 @@
 //! recorded exactly like the paper's hardware-counter scratch buffer.
 //! All tile arithmetic is f32, as on the WSE; energy reductions use f64.
 //!
+//! Phases 1–2 run as a **row-contiguous scan** over per-core f32
+//! position columns (`x/y/z`, refilled on every list rebuild): each core
+//! clips its `(2b+1)` square to the fabric once, then walks each clipped
+//! row as one contiguous core range, in pieces of up to 64 cores. Per
+//! piece, r² goes into a stack buffer in a loop without branches,
+//! occupied cores are counted from the occupancy slice, and the accepted
+//! cores are pushed in ascending core index — the same lists as a
+//! dy-major, dx-ascending per-candidate walk. Empty cores are
+//! **sentinels** holding +∞, so their r² (+∞, or NaN under the minimum
+//! image) fails the acceptance test like the core's own r² = 0 does. The
+//! per-candidate walk is kept only as the `#[cfg(test)]` oracle.
+//!
 //! The per-core phase loops fan out over rayon's worker pool (sized by
 //! `WAFER_MD_THREADS`); per-core results land in per-core buffers and
 //! every statistic is assembled by a sequential **atom-id-order** fold,
@@ -166,6 +178,10 @@ pub struct WseMdSim {
     // ---- per-core SoA state (flat core index) ----
     occ: Vec<bool>,
     pos: Vec<V3f>,
+    /// Per-core x/y/z position columns read by the candidate scan, +∞
+    /// on empty cores; refilled from `pos` on every list rebuild (the
+    /// only refreshes that scan).
+    cols: [Vec<f32>; 3],
     vel: Vec<V3f>,
     force: Vec<V3f>,
     rho: Vec<f32>,
@@ -285,6 +301,7 @@ impl WseMdSim {
             fold,
             occ: vec![false; n_cores],
             pos: vec![V3f::new(0.0, 0.0, 0.0); n_cores],
+            cols: Default::default(),
             vel: vec![V3f::new(0.0, 0.0, 0.0); n_cores],
             force: vec![V3f::new(0.0, 0.0, 0.0); n_cores],
             rho: vec![0.0; n_cores],
@@ -386,9 +403,16 @@ impl WseMdSim {
     /// embedding, force evaluation, and per-core cycle charging — all at
     /// the current positions, no motion.
     fn refresh_forces_impl(&mut self) {
-        let extent = self.config.extent;
-        let (w, h) = (extent.width as i32, extent.height as i32);
-        let (bx, by) = self.b;
+        self.refresh_forces_with(|scan, c, list| scan.rows(c, list));
+    }
+
+    /// [`Self::refresh_forces_impl`] with the phase-1/2 candidate scan
+    /// passed in, so tests can run the per-candidate oracle through the
+    /// same phases.
+    fn refresh_forces_with<S>(&mut self, scan: S)
+    where
+        S: Fn(&CandidateScan<'_>, usize, &mut Vec<u32>) -> u32 + Sync,
+    {
         let rc2 = self.potential.cutoff_sq();
 
         let reuse = self.config.neighbor_reuse_interval.max(1);
@@ -411,11 +435,33 @@ impl WseMdSim {
         // with the skin reach; on reuse steps the retained list is
         // re-filtered against the true cutoff (positions are still
         // exchanged every step — only reject processing is skipped).
+        if rebuild {
+            // Refilled in place: only the first rebuild allocates.
+            for (k, col) in self.cols.iter_mut().enumerate() {
+                col.clear();
+                col.extend(self.pos.iter().zip(&self.occ).map(|(p, &o)| {
+                    if o {
+                        p.to_array()[k]
+                    } else {
+                        f32::INFINITY
+                    }
+                }));
+            }
+        }
         // Split disjoint output borrows before the parallel loop.
         let occ = &self.occ;
         let pos = &self.pos;
         let potential = &self.potential;
         let fold = &self.fold;
+        let candidates = CandidateScan {
+            extent: self.config.extent,
+            b: self.b,
+            fold,
+            occ,
+            pos,
+            cols: [&self.cols[0], &self.cols[1], &self.cols[2]],
+            reach2,
+        };
         let ncand = &mut self.ncand;
         let ninter = &mut self.ninter;
         let rho = &mut self.rho;
@@ -436,32 +482,7 @@ impl WseMdSim {
                 let my = pos[c];
                 if rebuild {
                     list.clear();
-                    *ncand_c = 0;
-                    let cx = (c % extent.width) as i32;
-                    let cy = (c / extent.width) as i32;
-                    for dy in -by..=by {
-                        let ny = cy + dy;
-                        if ny < 0 || ny >= h {
-                            continue;
-                        }
-                        let row = (ny as usize) * extent.width;
-                        for dx in -bx..=bx {
-                            let nx = cx + dx;
-                            if nx < 0 || nx >= w || (dx == 0 && dy == 0) {
-                                continue;
-                            }
-                            let n = row + nx as usize;
-                            if !occ[n] {
-                                continue;
-                            }
-                            *ncand_c += 1;
-                            let d = fold.disp_f32(my, pos[n]);
-                            let r2 = d.norm_sq();
-                            if r2 < reach2 && r2 > 0.0 {
-                                list.push(n as u32);
-                            }
-                        }
-                    }
+                    *ncand_c = scan(&candidates, c, list);
                 }
                 for &n in list.iter() {
                     let d = fold.disp_f32(my, pos[n as usize]);
@@ -949,6 +970,139 @@ impl HaloEngine for WseMdSim {
     }
 }
 
+/// Cores per piece of a clipped row in the candidate scan: one bit of a
+/// `u64` acceptance mask per core. A wider row (2b+1 > 64) is scanned in
+/// several pieces.
+const SCAN_CHUNK: usize = u64::BITS as usize;
+
+/// Read-only inputs of the phase-1/2 candidate scan for one force
+/// refresh, shared by every core's scan.
+struct CandidateScan<'a> {
+    extent: Extent,
+    b: (i32, i32),
+    fold: &'a FoldSpec,
+    occ: &'a [bool],
+    pos: &'a [V3f],
+    /// Per-core x/y/z positions, +∞ on empty cores.
+    cols: [&'a [f32]; 3],
+    /// Acceptance radius² (cutoff plus skin).
+    reach2: f32,
+}
+
+impl CandidateScan<'_> {
+    /// Scan occupied core `c`'s `(2b+1)` square, clipped to the fabric,
+    /// one contiguous row of cores at a time: r² of every core in a row
+    /// piece goes into a stack buffer in a loop without branches, the
+    /// occupied cores are counted from `occ`, and the cores with
+    /// `0 < r² < reach²` are pushed onto `list` in ascending core index
+    /// (the dy-major, dx-ascending order of a per-candidate walk). Empty
+    /// cores hold +∞, so their r² is +∞ (NaN under the minimum image)
+    /// and fails both tests; `c` itself has r² = 0. Returns the number
+    /// of occupied candidates, `c` excluded.
+    fn rows(&self, c: usize, list: &mut Vec<u32>) -> u32 {
+        let width = self.extent.width;
+        let (cx, cy) = ((c % width) as i32, (c / width) as i32);
+        let (bx, by) = self.b;
+        let (x0, x1) = (
+            cx.saturating_sub(bx).max(0),
+            cx.saturating_add(bx).min(width as i32 - 1),
+        );
+        let (y0, y1) = (
+            cy.saturating_sub(by).max(0),
+            cy.saturating_add(by).min(self.extent.height as i32 - 1),
+        );
+        if x0 > x1 || y0 > y1 {
+            // A negative radius: the square is empty.
+            return 0;
+        }
+        let (x0, x1, y0, y1) = (x0 as usize, x1 as usize, y0 as usize, y1 as usize);
+        let my = self.pos[c].to_array();
+        let periodic = self.fold.periodic.contains(&true);
+        let mut r2 = [0.0f32; SCAN_CHUNK];
+        let mut occupied = 0;
+        for ny in y0..=y1 {
+            let row_end = ny * width + x1 + 1;
+            let mut start = ny * width + x0;
+            while start < row_end {
+                let cores = start..row_end.min(start + SCAN_CHUNK);
+                occupied += self.occ[cores.clone()].iter().filter(|&&o| o).count();
+                let r2 = &mut r2[..cores.len()];
+                if periodic {
+                    self.row_r2(cores.clone(), my, r2, |d| self.fold.min_image_f32(d));
+                } else {
+                    self.row_r2(cores.clone(), my, r2, |d| d);
+                }
+                let mut accepted = 0u64;
+                for (i, &r) in r2.iter().enumerate() {
+                    accepted |= ((r < self.reach2 && r > 0.0) as u64) << i;
+                }
+                while accepted != 0 {
+                    list.push((start + accepted.trailing_zeros() as usize) as u32);
+                    accepted &= accepted - 1;
+                }
+                start = cores.end;
+            }
+        }
+        // A non-empty square holds `c`, which is occupied.
+        (occupied - 1) as u32
+    }
+
+    /// r² from `my` to each core of the row piece `cores`, every
+    /// displacement passed through `image` first. Written once and
+    /// instantiated per boundary kind, so the open instantiation (the
+    /// identity) compiles to a vectorized loop.
+    #[inline(always)]
+    fn row_r2(
+        &self,
+        cores: std::ops::Range<usize>,
+        my: [f32; 3],
+        r2: &mut [f32],
+        image: impl Fn([f32; 3]) -> [f32; 3],
+    ) {
+        let [xs, ys, zs] = self.cols.map(|col| &col[cores.clone()]);
+        for (((r, &x), &y), &z) in r2.iter_mut().zip(xs).zip(ys).zip(zs) {
+            let [dx, dy, dz] = image([x - my[0], y - my[1], z - my[2]]);
+            *r = dx * dx + dy * dy + dz * dz;
+        }
+    }
+
+    /// The per-candidate scan [`Self::rows`] replaced, kept as its test
+    /// oracle: every fabric neighbor in dy-major, dx-ascending order,
+    /// skipping empty cores by branch.
+    #[cfg(test)]
+    fn per_candidate(&self, c: usize, list: &mut Vec<u32>) -> u32 {
+        let (w, h) = (self.extent.width as i32, self.extent.height as i32);
+        let (bx, by) = self.b;
+        let cx = (c % self.extent.width) as i32;
+        let cy = (c / self.extent.width) as i32;
+        let my = self.pos[c];
+        let mut ncand = 0;
+        for dy in -by..=by {
+            let ny = cy + dy;
+            if ny < 0 || ny >= h {
+                continue;
+            }
+            let row = (ny as usize) * self.extent.width;
+            for dx in -bx..=bx {
+                let nx = cx + dx;
+                if nx < 0 || nx >= w || (dx == 0 && dy == 0) {
+                    continue;
+                }
+                let n = row + nx as usize;
+                if !self.occ[n] {
+                    continue;
+                }
+                ncand += 1;
+                let r2 = self.fold.disp_f32(my, self.pos[n]).norm_sq();
+                if r2 < self.reach2 && r2 > 0.0 {
+                    list.push(n as u32);
+                }
+            }
+        }
+        ncand
+    }
+}
+
 /// Mutable view over the per-core atom state used by the swap protocol.
 pub(crate) struct CoreState<'a> {
     pub occ: &'a mut Vec<bool>,
@@ -964,5 +1118,156 @@ impl CoreState<'_> {
         self.pos.swap(a, b);
         self.vel.swap(a, b);
         self.mapping.swap_cores(a, b);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
+
+    const BOUNDARIES: [[bool; 3]; 3] = [[false; 3], [true, true, false], [true, false, false]];
+
+    /// Build the same run twice, step one copy with the row scan and the
+    /// other with the per-candidate oracle, and require bit-identical
+    /// lists, counts, forces and cycle charges after every refresh, at
+    /// pool widths 1 and 4. Returns the accepted pairs seen, so callers
+    /// can check the comparison was not vacuous.
+    fn assert_scans_agree(
+        positions: &[V3d],
+        velocities: &[V3d],
+        config: &WseMdConfig,
+        steps: usize,
+    ) -> Result<u64, TestCaseError> {
+        let mut pairs = 0;
+        for threads in [1, 4] {
+            rayon::with_num_threads(threads, || {
+                let build = || WseMdSim::new(Species::Ta, positions, velocities, config.clone());
+                let (mut rows, mut oracle) = (build(), build());
+                for step in 0..steps {
+                    rows.refresh_forces_impl();
+                    oracle.refresh_forces_with(|scan, c, list| scan.per_candidate(c, list));
+                    prop_assert_eq!(&rows.nlist, &oracle.nlist, "lists, step {}", step);
+                    prop_assert_eq!(&rows.ncand, &oracle.ncand, "ncand, step {}", step);
+                    prop_assert_eq!(&rows.ninter, &oracle.ninter, "ninter, step {}", step);
+                    let bits = |s: &WseMdSim| -> Vec<[u32; 3]> {
+                        s.force
+                            .iter()
+                            .map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()])
+                            .collect()
+                    };
+                    prop_assert_eq!(bits(&rows), bits(&oracle), "forces, step {}", step);
+                    let cycles = |s: &WseMdSim| -> Vec<u64> {
+                        s.core_cycles.iter().map(|c| c.to_bits()).collect()
+                    };
+                    prop_assert_eq!(cycles(&rows), cycles(&oracle), "cycles, step {}", step);
+                    pairs += rows.ninter.iter().map(|&n| n as u64).sum::<u64>();
+                    rows.advance_positions_impl();
+                    oracle.advance_positions_impl();
+                }
+                Ok(())
+            })?;
+        }
+        Ok(pairs)
+    }
+
+    /// A jittered simple-cubic cloud at `spacing` Å with its box,
+    /// wrapped into the box on periodic axes.
+    fn jittered_cloud(
+        cells: [usize; 3],
+        spacing: f64,
+        jitter: &[f64],
+        periodic: [bool; 3],
+    ) -> (Vec<V3d>, V3d) {
+        let lengths = V3d::new(
+            cells[0] as f64 * spacing,
+            cells[1] as f64 * spacing,
+            cells[2] as f64 * spacing,
+        );
+        let l = lengths.to_array();
+        let n = cells.iter().product::<usize>();
+        let positions = (0..n)
+            .map(|i| {
+                let ijk = [
+                    i % cells[0],
+                    i / cells[0] % cells[1],
+                    i / (cells[0] * cells[1]),
+                ];
+                V3d::from_array(std::array::from_fn(|k| {
+                    let x = ijk[k] as f64 * spacing + jitter[3 * i + k];
+                    if periodic[k] {
+                        x.rem_euclid(l[k])
+                    } else {
+                        x
+                    }
+                }))
+            })
+            .collect();
+        (positions, lengths)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The row scan reproduces the per-candidate scan bit for bit on
+        /// open and periodic boundaries, with spare and edge cores,
+        /// derived or forced `b`, list reuse with skin, and force
+        /// symmetry.
+        #[test]
+        fn row_scan_matches_per_candidate_oracle(
+            nx in 3usize..8,
+            ny in 3usize..8,
+            nz in 1usize..3,
+            spacing in 2.6f64..3.2,
+            jitter in proptest::collection::vec(-0.4f64..0.4, 3 * 7 * 7 * 2..3 * 7 * 7 * 2 + 1),
+            speeds in proptest::collection::vec(-15.0f64..15.0, 3 * 7 * 7 * 2..3 * 7 * 7 * 2 + 1),
+            boundary in 0usize..3,
+            spare in 0.0f64..0.8,
+            b_pick in -1i32..6,
+            reuse in 0usize..2,
+            symmetric in 0usize..2,
+        ) {
+            let periodic = BOUNDARIES[boundary];
+            let (positions, lengths) = jittered_cloud([nx, ny, nz], spacing, &jitter, periodic);
+            let velocities: Vec<V3d> = (0..positions.len())
+                .map(|i| V3d::new(speeds[3 * i], speeds[3 * i + 1], speeds[3 * i + 2]))
+                .collect();
+            let mut config = WseMdConfig::open_for(positions.len(), spare, 0.002);
+            config.periodic = periodic;
+            config.box_lengths = lengths;
+            // 0 derives b; the rest force (−1, 5) … (5, −1), so an
+            // empty row range and a negative radius are covered too.
+            config.b_override = (b_pick != 0).then_some((b_pick, 4 - b_pick));
+            config.symmetric_forces = symmetric == 1;
+            if reuse == 1 {
+                config.neighbor_reuse_interval = 3;
+                config.neighbor_skin = 0.6;
+            }
+            assert_scans_agree(&positions, &velocities, &config, 7)?;
+        }
+    }
+
+    /// Rows wider than the scan buffer are scanned in pieces with the
+    /// same result, on an open and on a periodic fabric.
+    #[test]
+    fn rows_wider_than_the_buffer_match_the_oracle() {
+        let width = SCAN_CHUNK + 36;
+        let cells = [width, 2, 1];
+        let jitter: Vec<f64> = (0..3 * 2 * width)
+            .map(|i| 0.3 * ((i * 7919 % 101) as f64 / 50.0 - 1.0))
+            .collect();
+        for periodic in BOUNDARIES {
+            let (positions, lengths) = jittered_cloud(cells, 2.9, &jitter, periodic);
+            let velocities = vec![V3d::new(3.0, -2.0, 1.0); positions.len()];
+            let mut config = WseMdConfig::open_for(positions.len(), 0.0, 0.002);
+            config.extent = Extent::new(width, 3);
+            config.periodic = periodic;
+            config.box_lengths = lengths;
+            config.b_override = Some((SCAN_CHUNK as i32 + 5, 1));
+            let pairs = assert_scans_agree(&positions, &velocities, &config, 3)
+                .unwrap_or_else(|e| panic!("{periodic:?}: {e:?}"));
+            assert!(pairs > 0, "{periodic:?}: no accepted pairs");
+        }
     }
 }

@@ -65,15 +65,21 @@ impl FoldSpec {
     /// the paper notes in Sec. V-F.
     #[inline]
     pub fn disp_f32(&self, a: V3f, b: V3f) -> V3f {
-        let mut d = b - a;
+        V3f::from_array(self.min_image_f32((b - a).to_array()))
+    }
+
+    /// Minimum image of a displacement along the periodic dimensions, in
+    /// tile (f32) precision: the one expression behind
+    /// [`Self::disp_f32`] and the driver's row-contiguous candidate scan,
+    /// so both produce the same bits.
+    #[inline]
+    pub fn min_image_f32(&self, mut d: [f32; 3]) -> [f32; 3] {
         let l = self.lengths32.to_array();
-        let mut da = d.to_array();
         for k in 0..3 {
             if self.periodic[k] && l[k] > 0.0 {
-                da[k] -= l[k] * (da[k] / l[k]).round();
+                d[k] -= l[k] * (d[k] / l[k]).round();
             }
         }
-        d = V3f::from_array(da);
         d
     }
 
