@@ -352,12 +352,12 @@ mod tests {
         assert_eq!(k, 8);
     }
 
-    /// The index [`Spline::segment`] computed before the cast-based
-    /// lookup: `floor`, then a clamp to the segment range.
+    /// Reference segment index: `⌊t⌋` by `floor` (exact in f64 for an
+    /// f32 `t`), clamped to the segment range.
     fn floor_index<T: Real>(s: &Spline<T>, x: T) -> usize {
         let t = (x - s.x0) * s.inv_h;
         let last = (s.coef.len() - 1) as i64;
-        (t.floor().to_f64() as i64).clamp(0, last) as usize
+        (t.to_f64().floor() as i64).clamp(0, last) as usize
     }
 
     /// Knots, their predecessors, the domain ends, the special values,

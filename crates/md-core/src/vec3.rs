@@ -39,7 +39,6 @@ pub trait Real:
     fn to_f64(self) -> f64;
     fn sqrt(self) -> Self;
     fn abs(self) -> Self;
-    fn floor(self) -> Self;
     fn exp(self) -> Self;
     fn powi(self, n: i32) -> Self;
     fn min_val(self, other: Self) -> Self;
@@ -77,10 +76,6 @@ macro_rules! impl_real {
             #[inline]
             fn abs(self) -> Self {
                 <$t>::abs(self)
-            }
-            #[inline]
-            fn floor(self) -> Self {
-                <$t>::floor(self)
             }
             #[inline]
             fn exp(self) -> Self {
