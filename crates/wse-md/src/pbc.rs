@@ -73,7 +73,7 @@ impl FoldSpec {
     /// [`Self::disp_f32`] and the driver's row-contiguous candidate scan,
     /// so both produce the same bits.
     #[inline]
-    pub fn min_image_f32(&self, mut d: [f32; 3]) -> [f32; 3] {
+    pub(crate) fn min_image_f32(&self, mut d: [f32; 3]) -> [f32; 3] {
         let l = self.lengths32.to_array();
         for k in 0..3 {
             if self.periodic[k] && l[k] > 0.0 {
