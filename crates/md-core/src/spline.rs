@@ -136,7 +136,15 @@ impl<T: Real> Spline<T> {
     /// used inside the per-interaction kernel.
     #[inline]
     pub fn eval_both(&self, x: T) -> (T, T) {
-        let (k, dx) = self.segment(x);
+        self.eval_both_in(self.segment(x))
+    }
+
+    /// [`Spline::eval_both`] in a segment already located by
+    /// [`Spline::segment`] — of this table, or of one on the
+    /// [same grid](Spline::same_grid), so two tables can share one
+    /// lookup with the bits of two.
+    #[inline]
+    pub fn eval_both_in(&self, (k, dx): (usize, T)) -> (T, T) {
         let [a, b, c, d] = self.coef[k];
         let v = a + dx * (b + dx * (c + dx * d));
         let dv = b + dx * (T::TWO * c + T::from_f64(3.0) * dx * d);
@@ -210,6 +218,16 @@ impl<T: Real> Spline<T> {
     /// Domain upper bound.
     pub fn x_max(&self) -> T {
         self.x0 + T::from_f64((self.n_knots - 1) as f64) * self.h
+    }
+
+    /// Whether `other` has this table's knots (origin, spacing and
+    /// count, bit for bit), so [`Spline::segment`] gives the same
+    /// segment in both for every input.
+    pub fn same_grid(&self, other: &Self) -> bool {
+        self.x0.to_f64().to_bits() == other.x0.to_f64().to_bits()
+            && self.inv_h.to_f64().to_bits() == other.inv_h.to_f64().to_bits()
+            && self.h.to_f64().to_bits() == other.h.to_f64().to_bits()
+            && self.coef.len() == other.coef.len()
     }
 
     /// Number of knots.
@@ -403,6 +421,30 @@ mod tests {
             for x in x32 {
                 proptest::prop_assert_eq!(s32.segment(x).0, floor_index(&s32, x), "f32 x = {}", x);
             }
+        }
+    }
+
+    /// Tables on one grid share a segment lookup with the bits of their
+    /// own; the materials' φ and ρ tables are on one grid in f32 too.
+    #[test]
+    fn tables_on_one_grid_share_a_segment() {
+        let a = Spline::<f64>::tabulate(0.5, 5.0, 300, |x| (-x).exp()).cast::<f32>();
+        let b = Spline::<f64>::tabulate(0.5, 5.0, 300, |x| x.cos()).cast::<f32>();
+        assert!(a.same_grid(&b));
+        for i in 0..1000 {
+            let x = 0.3f32 + 0.005 * i as f32;
+            let seg = a.segment(x);
+            let bits = |(v, d): (f32, f32)| (v.to_bits(), d.to_bits());
+            assert_eq!(bits(b.eval_both_in(seg)), bits(b.eval_both(x)), "x = {x}");
+        }
+        let finer = Spline::<f64>::tabulate(0.5, 5.0, 301, |x| x.cos()).cast::<f32>();
+        let shifted = Spline::<f64>::tabulate(0.6, 5.1, 300, |x| x.cos()).cast::<f32>();
+        assert!(!a.same_grid(&finer) && !a.same_grid(&shifted));
+        for species in crate::materials::Species::ALL {
+            let p = crate::materials::Material::new(species)
+                .potential()
+                .cast::<f32>();
+            assert!(p.phi.same_grid(&p.rho), "{species:?}");
         }
     }
 

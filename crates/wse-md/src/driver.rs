@@ -32,6 +32,13 @@
 //! image) fails the acceptance test like the core's own r² = 0 does. The
 //! per-candidate walk is kept only as the `#[cfg(test)]` oracle.
 //!
+//! Each accepted pair's r² is computed once per rebuild step: the scan
+//! hands it from its buffer straight to the core's density sum, so the
+//! density pass never recomputes a displacement the scan has just
+//! taken. The pair energy φ moves to the force pass, where one spline
+//! segment lookup serves both the φ and ρ tables (they share one knot
+//! grid, checked at construction).
+//!
 //! The per-core phase loops fan out over rayon's worker pool (sized by
 //! `WAFER_MD_THREADS`); per-core results land in per-core buffers and
 //! every statistic is assembled by a sequential **atom-id-order** fold,
@@ -265,6 +272,11 @@ impl WseMdSim {
         );
         let material = Material::new(species);
         let potential: EamPotential<f32> = material.potential().cast();
+        // The force pass locates each pair's segment once for both tables.
+        assert!(
+            potential.phi.same_grid(&potential.rho),
+            "the φ and ρ tables must share one knot grid"
+        );
         let fold = FoldSpec::new(config.periodic, config.box_lengths);
         let folded: Vec<V3d> = positions.iter().map(|p| fold.fold(*p)).collect();
         let cost = mapping.assignment_cost_angstroms(&folded);
@@ -399,19 +411,21 @@ impl WseMdSim {
         self.advance_positions_impl()
     }
 
-    /// Phases 1–4a: candidate exchange, neighbor list, densities and
-    /// embedding, force evaluation, and per-core cycle charging — all at
-    /// the current positions, no motion.
+    /// Phases 1–4a: candidate exchange and neighbor list with the
+    /// densities summed during the scan, embedding, force evaluation
+    /// (with the pair energy), and per-core cycle charging — all at the
+    /// current positions, no motion.
     fn refresh_forces_impl(&mut self) {
-        self.refresh_forces_with(|scan, c, list| scan.rows(c, list));
+        self.refresh_forces_with(|scan, c, list, density| scan.rows(c, list, |r2| density.add(r2)));
     }
 
     /// [`Self::refresh_forces_impl`] with the phase-1/2 candidate scan
+    /// (and the way it feeds each accepted r² to the core's [`Density`])
     /// passed in, so tests can run the per-candidate oracle through the
     /// same phases.
     fn refresh_forces_with<S>(&mut self, scan: S)
     where
-        S: Fn(&CandidateScan<'_>, usize, &mut Vec<u32>) -> u32 + Sync,
+        S: Fn(&CandidateScan<'_>, usize, &mut Vec<u32>, &mut Density<'_>) -> u32 + Sync,
     {
         let rc2 = self.potential.cutoff_sq();
 
@@ -432,9 +446,13 @@ impl WseMdSim {
 
         // ---- Phases 1–3a: candidate exchange, neighbor list, density.
         // On rebuild steps, candidates are scanned and the list rebuilt
-        // with the skin reach; on reuse steps the retained list is
-        // re-filtered against the true cutoff (positions are still
-        // exchanged every step — only reject processing is skipped).
+        // with the skin reach, and the scan hands each accepted core's r²
+        // to the density sum as it pushes it; on reuse steps the retained
+        // list is re-filtered against the true cutoff (positions are
+        // still exchanged every step — only reject processing is
+        // skipped). The density sum keeps the cutoff test, so skin
+        // entries count as misses either way. Under force symmetry the
+        // pair energy φ is summed here too; otherwise phase 4a sums it.
         if rebuild {
             // Refilled in place: only the first rebuild allocates.
             for (k, col) in self.cols.iter_mut().enumerate() {
@@ -448,6 +466,7 @@ impl WseMdSim {
                 }));
             }
         }
+        let symmetric = self.config.symmetric_forces;
         // Split disjoint output borrows before the parallel loop.
         let occ = &self.occ;
         let pos = &self.pos;
@@ -462,40 +481,45 @@ impl WseMdSim {
             cols: [&self.cols[0], &self.cols[1], &self.cols[2]],
             reach2,
         };
-        let ncand = &mut self.ncand;
-        let ninter = &mut self.ninter;
-        let rho = &mut self.rho;
-        let pair_e = &mut self.pair_e;
-        let nlist = &mut self.nlist;
-        (ncand, ninter, rho, pair_e, nlist)
+        (
+            &mut self.ncand,
+            &mut self.ninter,
+            &mut self.rho,
+            &mut self.pair_e,
+            &mut self.nlist,
+        )
             .into_par_iter()
             .enumerate()
             .for_each(|(c, (ncand_c, ninter_c, rho_c, pair_c, list))| {
-                *ninter_c = 0;
-                *rho_c = 0.0;
-                *pair_c = 0.0;
+                let mut density = Density {
+                    potential,
+                    rc2,
+                    with_pair: symmetric,
+                    ninter: 0,
+                    rho: 0.0,
+                    pair: 0.0,
+                };
                 if !occ[c] {
                     *ncand_c = 0;
                     list.clear();
-                    return;
-                }
-                let my = pos[c];
-                if rebuild {
+                } else if rebuild {
+                    let first = list.capacity() == 0;
                     list.clear();
-                    *ncand_c = scan(&candidates, c, list);
-                }
-                for &n in list.iter() {
-                    let d = fold.disp_f32(my, pos[n as usize]);
-                    let r2 = d.norm_sq();
-                    if r2 < rc2 && r2 > 0.0 {
-                        *ninter_c += 1;
-                        let r = r2.sqrt();
-                        let (phi, _) = potential.pair(r);
-                        let (dens, _) = potential.density(r);
-                        *rho_c += dens;
-                        *pair_c += 0.5 * phi;
+                    *ncand_c = scan(&candidates, c, list, &mut density);
+                    if first {
+                        // Headroom for thermal motion, so that a warm step
+                        // does not regrow the list when a neighbor arrives.
+                        list.reserve_exact(list.len() / 2 + 2);
+                    }
+                } else {
+                    let my = pos[c];
+                    for &n in list.iter() {
+                        density.add(fold.disp_f32(my, pos[n as usize]).norm_sq());
                     }
                 }
+                *ninter_c = density.ninter;
+                *rho_c = density.rho;
+                *pair_c = density.pair;
             });
 
         // ---- Phase 3b: embedding energy and derivative, then the F'
@@ -510,10 +534,11 @@ impl WseMdSim {
         let occ = &self.occ;
         let rho = &self.rho;
         let potential = &self.potential;
-        let fp_chunks: Vec<&mut [f32]> = self.fprime.chunks_mut(LANES).collect();
-        let fe_chunks: Vec<&mut [f64]> = self.embed_e.chunks_mut(LANES).collect();
-        (fp_chunks, fe_chunks).into_par_iter().enumerate().for_each(
-            |(chunk, (fp_chunk, fe_chunk))| {
+        self.fprime
+            .par_chunks_mut(LANES)
+            .zip(self.embed_e.par_chunks_mut(LANES))
+            .enumerate()
+            .for_each(|(chunk, (fp_chunk, fe_chunk))| {
                 let base = chunk * LANES;
                 if fp_chunk.len() == LANES {
                     let mut rho4 = [0.0f32; LANES];
@@ -547,8 +572,7 @@ impl WseMdSim {
                         }
                     }
                 }
-            },
-        );
+            });
 
         // ---- Phase 4a: force evaluation from the gathered neighbor list
         // (skin entries are re-filtered against the true cutoff).
@@ -558,7 +582,7 @@ impl WseMdSim {
         let nlist = &self.nlist;
         let potential = &self.potential;
         let fold = &self.fold;
-        if self.config.symmetric_forces {
+        if symmetric {
             // Sec. VI-A-3: each (i, j) term is computed once by the
             // lower-index core and the partner's share (−f) returns via a
             // neighborhood reduction over the fabric. The functional
@@ -592,29 +616,38 @@ impl WseMdSim {
                 }
             }
         } else {
-            self.force.par_iter_mut().enumerate().for_each(|(c, out)| {
-                *out = V3f::new(0.0, 0.0, 0.0);
-                if !occ[c] {
-                    return;
-                }
-                let my = pos[c];
-                let my_fp = fprime[c];
-                let mut acc = Vec3::new(0.0f32, 0.0, 0.0);
-                for &n in &nlist[c] {
-                    let n = n as usize;
-                    let d = fold.disp_f32(my, pos[n]);
-                    let r2 = d.norm_sq();
-                    if r2 >= rc2 || r2 == 0.0 {
-                        continue;
+            // Each pair's one segment lookup serves φ, φ' and ρ', and
+            // the pair energy is summed here, in list order.
+            (&mut self.force, &mut self.pair_e)
+                .into_par_iter()
+                .enumerate()
+                .for_each(|(c, (out, pair_c))| {
+                    *out = V3f::new(0.0, 0.0, 0.0);
+                    if !occ[c] {
+                        return;
                     }
-                    let r = r2.sqrt();
-                    let (_, dphi) = potential.pair(r);
-                    let (_, drho) = potential.density(r);
-                    let scalar = (my_fp + fprime[n]) * drho + dphi;
-                    acc += d.scale(scalar / r);
-                }
-                *out = acc;
-            });
+                    let my = pos[c];
+                    let my_fp = fprime[c];
+                    let mut acc = Vec3::new(0.0f32, 0.0, 0.0);
+                    let mut pair = 0.0f32;
+                    for &n in &nlist[c] {
+                        let n = n as usize;
+                        let d = fold.disp_f32(my, pos[n]);
+                        let r2 = d.norm_sq();
+                        if r2 >= rc2 || r2 == 0.0 {
+                            continue;
+                        }
+                        let r = r2.sqrt();
+                        let segment = potential.phi.segment(r);
+                        let (phi, dphi) = potential.phi.eval_both_in(segment);
+                        let (_, drho) = potential.rho.eval_both_in(segment);
+                        pair += 0.5 * phi;
+                        let scalar = (my_fp + fprime[n]) * drho + dphi;
+                        acc += d.scale(scalar / r);
+                    }
+                    *out = acc;
+                    *pair_c = pair;
+                });
         }
 
         // ---- Measurement, part 1: charge cycles per core from the cost
@@ -995,11 +1028,12 @@ impl CandidateScan<'_> {
     /// piece goes into a stack buffer in a loop without branches, the
     /// occupied cores are counted from `occ`, and the cores with
     /// `0 < r² < reach²` are pushed onto `list` in ascending core index
-    /// (the dy-major, dx-ascending order of a per-candidate walk). Empty
-    /// cores hold +∞, so their r² is +∞ (NaN under the minimum image)
-    /// and fails both tests; `c` itself has r² = 0. Returns the number
-    /// of occupied candidates, `c` excluded.
-    fn rows(&self, c: usize, list: &mut Vec<u32>) -> u32 {
+    /// (the dy-major, dx-ascending order of a per-candidate walk), each
+    /// one's r² handed to `visit` as it is pushed. Empty cores hold +∞,
+    /// so their r² is +∞ (NaN under the minimum image) and fails both
+    /// tests; `c` itself has r² = 0. Returns the number of occupied
+    /// candidates, `c` excluded.
+    fn rows(&self, c: usize, list: &mut Vec<u32>, mut visit: impl FnMut(f32)) -> u32 {
         let width = self.extent.width;
         let (cx, cy) = ((c % width) as i32, (c / width) as i32);
         let (bx, by) = self.b;
@@ -1037,7 +1071,9 @@ impl CandidateScan<'_> {
                     accepted |= ((r < self.reach2 && r > 0.0) as u64) << i;
                 }
                 while accepted != 0 {
-                    list.push((start + accepted.trailing_zeros() as usize) as u32);
+                    let i = accepted.trailing_zeros() as usize;
+                    list.push((start + i) as u32);
+                    visit(r2[i]);
                     accepted &= accepted - 1;
                 }
                 start = cores.end;
@@ -1068,9 +1104,10 @@ impl CandidateScan<'_> {
 
     /// The per-candidate scan [`Self::rows`] replaced, kept as its test
     /// oracle: every fabric neighbor in dy-major, dx-ascending order,
-    /// skipping empty cores by branch.
+    /// skipping empty cores by branch, each accepted core's r² (from
+    /// `disp_f32`) handed to `visit`.
     #[cfg(test)]
-    fn per_candidate(&self, c: usize, list: &mut Vec<u32>) -> u32 {
+    fn per_candidate(&self, c: usize, list: &mut Vec<u32>, mut visit: impl FnMut(f32)) -> u32 {
         let (w, h) = (self.extent.width as i32, self.extent.height as i32);
         let (bx, by) = self.b;
         let cx = (c % self.extent.width) as i32;
@@ -1096,10 +1133,40 @@ impl CandidateScan<'_> {
                 let r2 = self.fold.disp_f32(my, self.pos[n]).norm_sq();
                 if r2 < self.reach2 && r2 > 0.0 {
                     list.push(n as u32);
+                    visit(r2);
                 }
             }
         }
         ncand
+    }
+}
+
+/// One core's phase-3a sums over its list, fed one r² at a time in list
+/// order: by the candidate scan on rebuild steps, by the re-filter loop
+/// on reuse steps.
+struct Density<'a> {
+    potential: &'a EamPotential<f32>,
+    /// True cutoff² (the list may reach further, by the skin).
+    rc2: f32,
+    /// Whether the pair energy φ is summed here too (the serial
+    /// force-symmetry path); otherwise the force pass sums it.
+    with_pair: bool,
+    ninter: u32,
+    rho: f32,
+    pair: f32,
+}
+
+impl Density<'_> {
+    #[inline]
+    fn add(&mut self, r2: f32) {
+        if r2 < self.rc2 && r2 > 0.0 {
+            self.ninter += 1;
+            let r = r2.sqrt();
+            self.rho += self.potential.density(r).0;
+            if self.with_pair {
+                self.pair += 0.5 * self.potential.pair(r).0;
+            }
+        }
     }
 }
 
@@ -1131,9 +1198,10 @@ mod tests {
 
     /// Build the same run twice, step one copy with the row scan and the
     /// other with the per-candidate oracle, and require bit-identical
-    /// lists, counts, forces and cycle charges after every refresh, at
-    /// pool widths 1 and 4. Returns the accepted pairs seen, so callers
-    /// can check the comparison was not vacuous.
+    /// lists, counts, forces, cycle charges, densities, embedding
+    /// derivatives, pair energies and per-atom potential energies after
+    /// every refresh, at pool widths 1 and 4. Returns the accepted pairs
+    /// seen, so callers can check the comparison was not vacuous.
     fn assert_scans_agree(
         positions: &[V3d],
         velocities: &[V3d],
@@ -1147,7 +1215,9 @@ mod tests {
                 let (mut rows, mut oracle) = (build(), build());
                 for step in 0..steps {
                     rows.refresh_forces_impl();
-                    oracle.refresh_forces_with(|scan, c, list| scan.per_candidate(c, list));
+                    oracle.refresh_forces_with(|scan, c, list, density| {
+                        scan.per_candidate(c, list, |r2| density.add(r2))
+                    });
                     prop_assert_eq!(&rows.nlist, &oracle.nlist, "lists, step {}", step);
                     prop_assert_eq!(&rows.ncand, &oracle.ncand, "ncand, step {}", step);
                     prop_assert_eq!(&rows.ninter, &oracle.ninter, "ninter, step {}", step);
@@ -1162,6 +1232,24 @@ mod tests {
                         s.core_cycles.iter().map(|c| c.to_bits()).collect()
                     };
                     prop_assert_eq!(cycles(&rows), cycles(&oracle), "cycles, step {}", step);
+                    let sums = |s: &WseMdSim| -> [Vec<u64>; 4] {
+                        let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits() as u64).collect();
+                        [
+                            f32_bits(&s.rho),
+                            f32_bits(&s.fprime),
+                            f32_bits(&s.pair_e),
+                            s.per_atom_potential_energies()
+                                .iter()
+                                .map(|e| e.to_bits())
+                                .collect(),
+                        ]
+                    };
+                    prop_assert_eq!(
+                        sums(&rows),
+                        sums(&oracle),
+                        "rho, F', pair and atom energies, step {}",
+                        step
+                    );
                     pairs += rows.ninter.iter().map(|&n| n as u64).sum::<u64>();
                     rows.advance_positions_impl();
                     oracle.advance_positions_impl();
@@ -1211,9 +1299,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The row scan reproduces the per-candidate scan bit for bit on
-        /// open and periodic boundaries, with spare and edge cores,
-        /// derived or forced `b`, list reuse with skin, and force
-        /// symmetry.
+        /// open and periodic boundaries, with spare and edge cores and
+        /// derived or forced `b` — each case with force symmetry on and
+        /// off, and with lists rebuilt every step or reused for 3 steps
+        /// with a 0.6 Å skin.
         #[test]
         fn row_scan_matches_per_candidate_oracle(
             nx in 3usize..8,
@@ -1225,8 +1314,6 @@ mod tests {
             boundary in 0usize..3,
             spare in 0.0f64..0.8,
             b_pick in -1i32..6,
-            reuse in 0usize..2,
-            symmetric in 0usize..2,
         ) {
             let periodic = BOUNDARIES[boundary];
             let (positions, lengths) = jittered_cloud([nx, ny, nz], spacing, &jitter, periodic);
@@ -1239,12 +1326,14 @@ mod tests {
             // 0 derives b; the rest force (−1, 5) … (5, −1), so an
             // empty row range and a negative radius are covered too.
             config.b_override = (b_pick != 0).then_some((b_pick, 4 - b_pick));
-            config.symmetric_forces = symmetric == 1;
-            if reuse == 1 {
-                config.neighbor_reuse_interval = 3;
-                config.neighbor_skin = 0.6;
+            for symmetric in [false, true] {
+                for (reuse, skin) in [(1, 0.0), (3, 0.6)] {
+                    config.symmetric_forces = symmetric;
+                    config.neighbor_reuse_interval = reuse;
+                    config.neighbor_skin = skin;
+                    assert_scans_agree(&positions, &velocities, &config, 7)?;
+                }
             }
-            assert_scans_agree(&positions, &velocities, &config, 7)?;
         }
     }
 

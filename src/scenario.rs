@@ -593,11 +593,17 @@ fn workload_from_value(v: &Value) -> Result<Workload, ScenarioError> {
                 .ok_or_else(|| {
                     malformed("field 'workload.spacing' must be a positive number".into())
                 })?;
+            // A radius below 1 scans no neighbors (a run with no
+            // physics), and one past the fabric's side reaches no further.
             let b = v
                 .get("b")
                 .and_then(Value::as_f64)
-                .filter(|x| x.fract() == 0.0 && *x >= i32::MIN as f64 && *x <= i32::MAX as f64)
-                .ok_or_else(|| malformed("field 'workload.b' must be an integer".into()))?;
+                .filter(|x| x.fract() == 0.0 && *x >= 1.0 && *x <= side as f64)
+                .ok_or_else(|| {
+                    malformed(format!(
+                        "field 'workload.b' must be an integer from 1 to side ({side})"
+                    ))
+                })?;
             Ok(Workload::ControlledGrid {
                 side: side as usize,
                 spacing,
@@ -2063,7 +2069,29 @@ mod tests {
             ),
             ("{\"species\":\"Ta\"", "expected ','"),
         ];
-        for (text, needle) in cases {
+        let grid = |b: &str| {
+            format!(
+                "{{\"species\":\"Ta\",\"workload\":{{\"kind\":\"controlled-grid\",\"side\":6,\"spacing\":2.0,\"b\":{b}}}}}"
+            )
+        };
+        let bad_b: Vec<(String, &str)> = ["-1", "0", "7", "2147483647", "2.5"]
+            .iter()
+            .map(|b| {
+                (
+                    grid(b),
+                    "'workload.b' must be an integer from 1 to side (6)",
+                )
+            })
+            .collect();
+        let cases: Vec<(&str, &str)> = cases
+            .iter()
+            .copied()
+            .chain(bad_b.iter().map(|(text, needle)| (text.as_str(), *needle)))
+            .collect();
+        for b in ["1", "6"] {
+            assert!(ScenarioSpec::from_json(&grid(b)).is_ok(), "b = {b}");
+        }
+        for (text, needle) in &cases {
             match ScenarioSpec::from_json(text) {
                 Err(ScenarioError::MalformedSpec(hint)) => {
                     assert!(hint.contains(needle), "{text}: {hint}")

@@ -243,6 +243,14 @@ fn http_server_round_trip_hit_miss_stats_and_hints() {
     let (status, _, err) = http(addr, "POST", "/run", "pure garbage");
     assert_eq!(status, 400);
     assert!(err.contains("malformed scenario spec"), "{err}");
+    let (status, _, err) = http(
+        addr,
+        "POST",
+        "/run",
+        "{\"species\":\"Ta\",\"workload\":{\"kind\":\"controlled-grid\",\"side\":6,\"spacing\":2.0,\"b\":-1}}",
+    );
+    assert_eq!(status, 400);
+    assert!(err.contains("from 1 to side (6)"), "{err}");
     let (status, _, err) = http(addr, "GET", "/nope", "");
     assert_eq!(status, 404);
     assert!(err.contains("POST /run"), "{err}");
@@ -426,6 +434,43 @@ fn malformed_drain_line_exits_2_with_a_hint() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let _ = fs::remove_file(&requests);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A controlled grid's radius must lie in 1..=side: below 1 the run has
+/// no physics, and a huge one used to overflow the candidate count.
+#[test]
+fn controlled_grid_b_outside_1_to_side_exits_2_from_drain() {
+    let root = scratch("bad-grid-b");
+    let requests = scratch("bad-grid-b-file").with_extension("jsonl");
+    for b in ["-1", "0", "7", "2147483647"] {
+        fs::write(
+            &requests,
+            format!(
+                "{{\"species\":\"Ta\",\"workload\":{{\"kind\":\"controlled-grid\",\"side\":6,\"spacing\":2.0,\"b\":{b}}},\"steps\":2}}\n"
+            ),
+        )
+        .unwrap();
+        let out = Command::new(wafer_md_bin())
+            .args([
+                "serve",
+                "--cache",
+                root.to_str().unwrap(),
+                "--drain",
+                requests.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "b = {b}: {stderr}");
+        assert!(
+            stderr.contains("line 1")
+                && stderr.contains("'workload.b' must be an integer from 1 to side (6)"),
+            "b = {b}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "b = {b}: nothing may run");
+    }
     let _ = fs::remove_file(&requests);
     let _ = fs::remove_dir_all(&root);
 }
